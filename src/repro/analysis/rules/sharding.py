@@ -4,7 +4,7 @@ R008 — cross-shard delta application must iterate in canonical spec
 order.  The sharded runner's whole invariant (``1 shard == N shards``,
 byte for byte) rests on merging per-shard deltas in a deterministic
 order: shard-index lists, spec-ordered sequences, lexsorted key
-columns.  Feeding a merge primitive (``merge_from``,
+columns.  Feeding a merge primitive (``merge_from``, ``extend_coded``,
 ``merge_snapshots``, ``apply_delta``, ``merge_delta``) from a
 ``set``/``frozenset`` — whose iteration order is hash-salted and
 process-dependent — silently breaks the invariant only on some
@@ -42,7 +42,13 @@ class ShardDeltaOrderRule(Rule):
 
     #: merge primitives whose call order becomes interner/counter order
     _MERGE_METHODS = frozenset(
-        {"merge_from", "merge_snapshots", "apply_delta", "merge_delta"}
+        {
+            "merge_from",
+            "extend_coded",
+            "merge_snapshots",
+            "apply_delta",
+            "merge_delta",
+        }
     )
 
     _LOOP_MESSAGE = (

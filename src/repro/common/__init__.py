@@ -6,6 +6,7 @@ subpackage; everything else builds on top of it.
 
 from repro.common.errors import (
     ConfigurationError,
+    InvalidEventError,
     ReproError,
     RegistryError,
     RoutingError,
@@ -38,6 +39,7 @@ __all__ = [
     "Feedback",
     "IdFactory",
     "Interaction",
+    "InvalidEventError",
     "RatingScale",
     "RegistryError",
     "ReproError",

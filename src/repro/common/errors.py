@@ -13,6 +13,16 @@ class ConfigurationError(ReproError):
     """A component was constructed or configured with invalid parameters."""
 
 
+class InvalidEventError(ReproError, ValueError):
+    """A feedback event was rejected where it enters canonical state.
+
+    Raised by :class:`~repro.store.EventStore` for a rating that is NaN,
+    infinite or outside ``[0, 1]``, or a time that is not finite.  Also
+    a :class:`ValueError`, like the :class:`~repro.common.records.Feedback`
+    check it backs up.
+    """
+
+
 class SimulationError(ReproError):
     """The simulation kernel was driven into an invalid state.
 

@@ -29,18 +29,23 @@ Four design rules enforce it:
   merged row order — and therefore every interner code and
   ``canonical_bytes()`` — equals what the 1-shard run appends
   directly.
-* **Per-consumer RNG streams.**  Each consumer's policy/invocation/
-  rating randomness comes from :func:`shard_consumer_streams`, a pure
-  function of (world seed, consumer index).  A consumer's trajectory
-  given the broadcast scores is identical no matter which shard hosts
-  it.
+* **Keyed counter-based draws.**  Each shard runs its rounds through
+  the vectorized kernel of :mod:`repro.experiments.rounds`, whose
+  policy/invocation/rating draws are Philox4x64-10 keyed by (world
+  key, consumer index) with the round as counter
+  (:mod:`repro.common.philox`).  A consumer's draws depend only on who
+  it is and which round it is, so its trajectory given the broadcast
+  scores is identical no matter which shard hosts it, or which other
+  consumers share its block.
 
 Feedback crossing the barrier is the store row ``(rater, target,
-overall rating, int64 tick)``: facet detail and the backing
-interaction stay shard-local, so context factors that need the
-interaction (e.g. PeerTrust's transaction factor) see the neutral 1.0
-on *every* shard count, including 1 — the invariant is preserved by
-construction, not by luck.
+overall rating, int64 tick)``; the kernel keeps no facet detail and
+no interaction, so context factors that need the interaction (e.g.
+PeerTrust's transaction factor) see the neutral 1.0 on *every* shard
+count, including 1.  The coordinator merges code columns — one
+:meth:`~repro.store.EventStore.extend_coded` into the global store and
+one ``record_columns`` into the model — without rebuilding a
+:class:`~repro.common.records.Feedback` per row.
 
 Telemetry is split so the invariant stays checkable: the canonical
 :class:`~repro.obs.trace.TelemetrySnapshot` (epoch spans, row
@@ -69,24 +74,27 @@ from typing import (
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, UnknownEntityError
+from repro.common.errors import (
+    ConfigurationError,
+    ReproError,
+    UnknownEntityError,
+)
 from repro.common.ids import EntityId
-from repro.common.records import Feedback
-from repro.common.simtime import from_ticks, to_ticks
+from repro.common.simtime import times_array, to_ticks
 from repro.core.scenarios import ScenarioResult
 from repro.experiments.parallel import picklable
+from repro.experiments.rounds import ConsumerBlock, catalog_at, run_round
 from repro.experiments.workloads import (
     World,
+    consumer_draw_key,
     make_shard_world,
     shard_consumer_id,
-    shard_consumer_streams,
 )
 from repro.obs.ledger import ActivityLedger, merged_ledger_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.trace import TelemetrySnapshot
 from repro.p2p.hashing import stable_hash
-from repro.services.invocation import InvocationEngine
 from repro.sim.kernel import Simulator
 from repro.sim.network import MessageStats, Network, stats_from_snapshot
 from repro.store import EventStore
@@ -98,11 +106,13 @@ __all__ = [
     "ShardDelta",
     "ShardDispatchReport",
     "ShardRuntime",
+    "ShardWorkerError",
     "ShardedRunReport",
     "ShardedRunSpec",
     "register_shard_world_builder",
     "run_sharded_experiment",
     "shard_of",
+    "shard_partition",
     "shard_world_builder",
 ]
 
@@ -112,6 +122,9 @@ PROCESS = "process"
 
 #: The Figure-2 activity shards charge their feedback rows to.
 ACTIVITY = "feedback"
+
+#: Consumers per round-kernel call: keeps its working arrays in cache.
+ROUND_BLOCK = 4096
 
 
 def shard_of(entity_id: EntityId, shards: int) -> int:
@@ -127,6 +140,16 @@ def shard_of(entity_id: EntityId, shards: int) -> int:
     if shards == 1:
         return 0
     return (stable_hash(str(entity_id), bits=64) * shards) >> 64
+
+
+def shard_partition(n_consumers: int, shards: int) -> List[List[int]]:
+    """Consumer indices per shard, ascending (one hash per consumer)."""
+    if shards == 1:
+        return [list(range(n_consumers))]
+    owned: List[List[int]] = [[] for _ in range(shards)]
+    for i in range(n_consumers):
+        owned[shard_of(shard_consumer_id(i), shards)].append(i)
+    return owned
 
 
 # ---------------------------------------------------------------------------
@@ -303,11 +326,17 @@ class ShardRuntime:
     Selection follows the harness's epsilon-greedy discipline against
     the scores frozen at the epoch start; accuracy/regret accounting
     mirrors :class:`~repro.core.scenarios.DirectSelectionScenario`
-    (same optimality tolerance, same per-round bookkeeping).
+    (same optimality tolerance, same per-round bookkeeping).  Each
+    round is one :func:`~repro.experiments.rounds.run_round` call over
+    the shard's whole consumer block and one store ``extend``.
     """
 
     def __init__(
-        self, spec: ShardedRunSpec, shard_index: int, n_shards: int
+        self,
+        spec: ShardedRunSpec,
+        shard_index: int,
+        n_shards: int,
+        owned: Optional[Sequence[int]] = None,
     ) -> None:
         if not 0 <= shard_index < n_shards:
             raise ConfigurationError(
@@ -319,11 +348,13 @@ class ShardRuntime:
         builder = shard_world_builder(spec.world)
         params = dict(spec.world_params)
         n_consumers = int(params.pop("n_consumers", 20))
-        self.owned = [
-            i
-            for i in range(n_consumers)
-            if shard_of(shard_consumer_id(i), n_shards) == shard_index
-        ]
+        #: this shard's consumer indices; *owned* passes in a slice of
+        #: :func:`shard_partition` the caller already computed
+        self.owned = list(
+            shard_partition(n_consumers, n_shards)[shard_index]
+            if owned is None
+            else owned
+        )
         self.world = builder(
             seed=spec.seed,
             n_consumers=n_consumers,
@@ -334,24 +365,30 @@ class ShardRuntime:
         self._services = list(self.world.services)
         self.service_ids = [svc.service_id for svc in self._services]
         self._n_services = len(self._services)
-        self._service_home = [
-            shard_of(sid, n_shards) for sid in self.service_ids
+        self._metrics = self.world.taxonomy.names()
+        for svc in self._services:
+            if set(svc.profile.quality) != set(self._metrics):
+                raise ConfigurationError(
+                    f"service {svc.service_id!r} profiles "
+                    f"{sorted(svc.profile.quality)}, not the world's "
+                    f"metrics {sorted(self._metrics)}"
+                )
+        self.block = ConsumerBlock.from_consumers(
+            self.consumers, self.owned, self._metrics
+        )
+        # Rounds run over cache-sized sub-blocks; the kernel's rows do
+        # not depend on block size, so this changes no output.
+        self._parts = [
+            self.block.take(range(lo, min(lo + ROUND_BLOCK, len(self.block))))
+            for lo in range(0, len(self.block), ROUND_BLOCK)
         ]
-        # Stable truth-cache key per consumer: heterogeneous worlds get
-        # one entry per distinct (weights, segment); homogeneous worlds
-        # collapse to n_segments entries per round.
-        self._truth_keys = [
-            (c.segment, tuple(sorted(c.preferences.weights.items())))
-            for c in self.consumers
-        ]
-        self._policy_rngs = []
-        self._invokers = []
-        for i in self.owned:
-            streams = shard_consumer_streams(self.world.seeds, i)
-            self._policy_rngs.append(streams.rng("policy"))
-            self._invokers.append(
-                InvocationEngine(self.world.taxonomy, rng=streams.rng("invoke"))
-            )
+        self._key = consumer_draw_key(self.world.seeds)
+        self._segments = np.unique(self.block.segments)
+        self._targets = np.array(self.service_ids, dtype=object)
+        self._service_home = np.array(
+            [shard_of(sid, n_shards) for sid in self.service_ids],
+            dtype=np.int64,
+        )
         self.sim = Simulator(start=0.0)
         # Shard-local accounting: one registry carries both the net.*
         # traffic counters and the fig2.* ledger, snapshotted once at
@@ -378,11 +415,13 @@ class ShardRuntime:
             )
         n_rounds = spec.rounds_per_epoch
         n_own = len(self.owned)
-        rows = n_own * n_rounds
         store = EventStore(time_dtype="int64")
-        rounds_col = np.empty(rows, dtype=np.int64)
-        consumers_col = np.empty(rows, dtype=np.int64)
-        regrets = np.empty(rows, dtype=np.float64)
+        rounds_col = np.repeat(
+            np.arange(epoch * n_rounds, (epoch + 1) * n_rounds, dtype=np.int64),
+            n_own,
+        )
+        consumers_col = np.tile(self.block.indices, n_rounds)
+        regrets = np.empty(n_own * n_rounds, dtype=np.float64)
         accurate = np.zeros(n_rounds, dtype=np.int64)
         home_counts = np.zeros(self.n_shards, dtype=np.int64)
         # Scores are frozen for the whole epoch, so the exploit arm is
@@ -394,73 +433,54 @@ class ShardRuntime:
                 key=lambda j: (scores[j], self.service_ids[j]),
             )
         epoch_start = spec.epoch_start(epoch)
-        state = {"round": 0, "row": 0}
+        state = {"round": 0}
 
         def fire_round() -> None:
             r_local = state["round"]
             t = epoch_start + r_local * spec.round_length
-            row = state["row"]
-            truth: Dict[Any, Tuple[int, List[float]]] = {}
-            for k in range(n_own):
-                consumer = self.consumers[k]
-                rng = self._policy_rngs[k]
-                if float(rng.random()) < spec.epsilon:
-                    j = int(rng.integers(self._n_services))
-                else:
-                    j = exploit
-                key = self._truth_keys[k]
-                cached = truth.get(key)
-                if cached is None:
-                    weights = consumer.preferences.weights
-                    segment = consumer.segment
-                    quals = [
-                        svc.true_overall(t, weights, segment)
-                        for svc in self._services
-                    ]
-                    best = max(
-                        range(self._n_services),
-                        key=lambda x: (quals[x], self.service_ids[x]),
-                    )
-                    cached = (best, quals)
-                    truth[key] = cached
-                best, quals = cached
-                chosen_quality = quals[j]
-                optimal_quality = quals[best]
-                if (
-                    j == best
-                    or optimal_quality - chosen_quality
-                    <= spec.optimality_tolerance
-                ):
-                    accurate[r_local] += 1
-                interaction = self._invokers[k].invoke(
-                    consumer, self._services[j], t
+            catalog = catalog_at(
+                self._services, self._metrics, self._segments, t
+            )
+            parts = [
+                run_round(
+                    part,
+                    catalog,
+                    self._key,
+                    epoch * n_rounds + r_local,
+                    exploit,
+                    spec.epsilon,
+                    spec.optimality_tolerance,
                 )
-                feedback = consumer.rate(interaction, self.world.taxonomy)
-                store.append(
-                    feedback.rater,
-                    feedback.target,
-                    feedback.rating,
-                    to_ticks(feedback.time),
-                )
-                rounds_col[row] = epoch * n_rounds + r_local
-                consumers_col[row] = self.owned[k]
-                regrets[row] = optimal_quality - chosen_quality
-                home_counts[self._service_home[j]] += 1
-                row += 1
-            state["row"] = row
+                for part in self._parts
+            ]
+            choice = np.concatenate([rows.choice for rows in parts])
+            store.extend(
+                self.block.ids,
+                self._targets[choice].tolist(),
+                np.concatenate([rows.rating for rows in parts]),
+                np.full(n_own, to_ticks(t), dtype=np.int64),
+            )
+            regrets[r_local * n_own : (r_local + 1) * n_own] = np.concatenate(
+                [rows.regret for rows in parts]
+            )
+            accurate[r_local] = sum(int(rows.accurate.sum()) for rows in parts)
+            home_counts[:] += np.bincount(
+                self._service_home[choice], minlength=self.n_shards
+            )
             state["round"] = r_local + 1
 
-        self.sim.schedule_every(
-            spec.round_length,
-            fire_round,
-            start=epoch_start,
-            count=n_rounds,
-        )
-        self.sim.run(until=epoch_start + n_rounds * spec.round_length)
-        if state["row"] != rows:
+        if n_own:
+            self.sim.schedule_every(
+                spec.round_length,
+                fire_round,
+                start=epoch_start,
+                count=n_rounds,
+            )
+            self.sim.run(until=epoch_start + n_rounds * spec.round_length)
+        if len(store) != len(regrets):
             raise ConfigurationError(
-                f"shard {self.shard} produced {state['row']} rows, "
-                f"expected {rows}"
+                f"shard {self.shard} produced {len(store)} rows, "
+                f"expected {len(regrets)}"
             )
         src = f"shard-{self.shard}"
         for dst in range(self.n_shards):
@@ -470,7 +490,7 @@ class ShardRuntime:
                 kind="feedback",
                 messages=int(home_counts[dst]),
             )
-        self.ledger.charge(ACTIVITY, feedback=rows)
+        self.ledger.charge(ACTIVITY, feedback=len(regrets))
         self._epochs_run += 1
         return ShardDelta(
             shard=self.shard,
@@ -550,30 +570,39 @@ class _Coordinator:
         *deltas* arrive as a list in shard-index order; the merged rows
         are then re-sorted by the ``(round, consumer index)`` key so
         the global append order — and every interner code downstream —
-        matches the 1-shard run exactly.
+        matches the 1-shard run exactly.  Rows stay code columns: the
+        sorted codes feed one ``extend_coded`` into the global store
+        (which validates them) and one ``record_columns`` into the
+        model.
         """
         spec = self.spec
-        epoch_store = EventStore(time_dtype="int64")
-        for delta in deltas:  # shard-index order: the canonical merge
-            epoch_store.merge_from(delta.store)
+        # Lay the deltas' id tables end to end (shard-index order: the
+        # canonical merge) and offset each delta's codes into it.
+        names: List[EntityId] = []
+        parts = []
+        for delta in deltas:
+            cols = delta.store.snapshot()
+            parts.append(
+                (cols.rater + len(names), cols.target + len(names), cols)
+            )
+            names.extend(delta.store.entities.values())
         rounds = np.concatenate([d.rounds for d in deltas])
         consumers = np.concatenate([d.consumers for d in deltas])
         regrets = np.concatenate([d.regrets for d in deltas])
         order = np.lexsort((consumers, rounds))
-        cols = epoch_store.snapshot()
-        names = np.array(list(epoch_store.entities.values()), dtype=object)
-        raters = [str(r) for r in names[cols.rater[order]]]
-        targets = [str(t) for t in names[cols.target[order]]]
-        values = cols.value[order]
-        ticks = cols.time[order]
-        self.store.extend(raters, targets, values.tolist(), ticks)
-        feedbacks = [
-            Feedback(rater=r, target=t, time=from_ticks(tk), rating=v)
-            for r, t, v, tk in zip(
-                raters, targets, values.tolist(), ticks.tolist()
-            )
-        ]
-        self.model.record_many(feedbacks)
+        rater_codes = np.concatenate([p[0] for p in parts])[order]
+        target_codes = np.concatenate([p[1] for p in parts])[order]
+        values = np.concatenate([p[2].value for p in parts])[order]
+        ticks = np.concatenate([p[2].time for p in parts])[order]
+        self.store.extend_coded(names, rater_codes, target_codes, values, ticks)
+        table = np.array(names, dtype=object)
+        self.model.record_columns(
+            table[rater_codes].tolist(),
+            table[target_codes].tolist(),
+            values,
+            times_array(ticks),
+        )
+        n_rows = len(order)
         lo = epoch * spec.rounds_per_epoch
         for delta in deltas:
             self._accurate[lo : lo + spec.rounds_per_epoch] += delta.accurate
@@ -589,23 +618,30 @@ class _Coordinator:
                 size=delta.n_rows,
             )
         self._regret_chunks.append(regrets[order])
-        for target in targets:
+        # Count selections in first-appearance order of the sorted rows
+        # (the dict order a per-row loop gives); a service sits under one
+        # code per delta, so counts accumulate by name.
+        codes, first, counts = np.unique(
+            target_codes, return_index=True, return_counts=True
+        )
+        for k in np.argsort(first).tolist():
+            target = names[codes[k]]
             self._selection_counts[target] = (
-                self._selection_counts.get(target, 0) + 1
+                self._selection_counts.get(target, 0) + int(counts[k])
             )
-        self._selections += len(raters)
+        self._selections += n_rows
         if self.recorder is not None:
             start = spec.epoch_start(epoch)
             self.recorder.span(
                 "sharded.epoch",
                 duration=spec.rounds_per_epoch * spec.round_length,
-                attrs={"epoch": epoch, "rows": len(raters)},
+                attrs={"epoch": epoch, "rows": n_rows},
                 time=start,
             )
             self.recorder.advance(spec.epoch_start(epoch + 1))
-            self.recorder.count("sharded.rows", len(raters))
+            self.recorder.count("sharded.rows", n_rows)
         if self.ledger is not None:
-            self.ledger.charge(ACTIVITY, feedback=len(raters))
+            self.ledger.charge(ACTIVITY, feedback=n_rows)
 
     def finish(
         self,
@@ -626,7 +662,7 @@ class _Coordinator:
             rounds=spec.total_rounds,
             selections=self._selections,
             optimal_selections=optimal,
-            regrets=[float(r) for r in regrets],
+            regrets=regrets.tolist(),
             round_accuracy=[
                 count / n_consumers if n_consumers else 0.0
                 for count in self._accurate.tolist()
@@ -682,6 +718,19 @@ class _Coordinator:
 # ---------------------------------------------------------------------------
 
 
+class ShardWorkerError(ReproError):
+    """A shard worker process failed.
+
+    Carries the worker-side formatted traceback, so the coordinator's
+    error names the original exception and where it was raised.
+    """
+
+    def __init__(self, shard: int, worker_traceback: str) -> None:
+        super().__init__(f"shard worker {shard} failed:\n{worker_traceback}")
+        self.shard = shard
+        self.worker_traceback = worker_traceback
+
+
 def _worker_main(
     conn: Any, spec: ShardedRunSpec, shard_index: int, n_shards: int
 ) -> None:
@@ -690,7 +739,10 @@ def _worker_main(
         runtime = ShardRuntime(spec, shard_index, n_shards)
         conn.send(("ready", len(runtime.owned)))
         while True:
-            message = conn.recv()
+            try:
+                message = conn.recv()
+            except EOFError:
+                return  # the coordinator closed its end: nothing to serve
             command = message[0]
             if command == "epoch":
                 conn.send(("delta", runtime.run_epoch(message[1], message[2])))
@@ -701,24 +753,27 @@ def _worker_main(
             else:
                 raise ConfigurationError(f"unknown command: {command!r}")
     except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        # Grandfathered: best-effort error forwarding on an already-dying
-        # worker.  If the pipe itself is gone there is nobody left to
-        # tell; the coordinator sees the broken pipe and raises anyway.
-        except Exception:  # reprolint: disable=R011
-            pass
+        # Forward the failure, then die with it.  If the pipe is gone
+        # too, the send raises instead; either way the coordinator
+        # raises ShardWorkerError (from the message, or from the EOF).
+        conn.send(("error", traceback.format_exc()))
+        raise
     finally:
         conn.close()
 
 
-def _expect(conn: Any, tag: str) -> Any:
-    message = conn.recv()
+def _expect(conn: Any, shard: int, tag: str) -> Any:
+    try:
+        message = conn.recv()
+    except EOFError:
+        raise ShardWorkerError(
+            shard, "worker exited without replying (pipe closed)"
+        ) from None
     if message[0] == "error":
-        raise RuntimeError(f"shard worker failed:\n{message[1]}")
+        raise ShardWorkerError(shard, message[1])
     if message[0] != tag:
-        raise RuntimeError(
-            f"protocol error: expected {tag!r}, got {message[0]!r}"
+        raise ShardWorkerError(
+            shard, f"protocol error: expected {tag!r}, got {message[0]!r}"
         )
     return message[1]
 
@@ -778,7 +833,10 @@ def run_sharded_experiment(
 def _run_serial(
     spec: ShardedRunSpec, shards: int, coordinator: _Coordinator
 ) -> Tuple[List[int], List[Dict[str, Any]]]:
-    runtimes = [ShardRuntime(spec, s, shards) for s in range(shards)]
+    partition = shard_partition(spec.n_consumers, shards)
+    runtimes = [
+        ShardRuntime(spec, s, shards, owned=partition[s]) for s in range(shards)
+    ]
     for epoch in range(spec.epochs):
         scores = coordinator.epoch_scores(epoch)
         deltas = [runtime.run_epoch(epoch, scores) for runtime in runtimes]
@@ -806,18 +864,24 @@ def _run_process(
             child.close()
             processes.append(process)
             conns.append(parent)
-        consumers_per_shard = [_expect(conn, "ready") for conn in conns]
+        consumers_per_shard = [
+            _expect(conn, s, "ready") for s, conn in enumerate(conns)
+        ]
         for epoch in range(spec.epochs):
             scores = coordinator.epoch_scores(epoch)
             for conn in conns:
                 conn.send(("epoch", epoch, scores))
             # Receiving in shard order is deadlock-free: every worker
             # computes independently and blocks only on its own pipe.
-            deltas = [_expect(conn, "delta") for conn in conns]
+            deltas = [
+                _expect(conn, s, "delta") for s, conn in enumerate(conns)
+            ]
             coordinator.apply(epoch, deltas)
         for conn in conns:
             conn.send(("stats",))
-        shard_snapshots = [_expect(conn, "stats") for conn in conns]
+        shard_snapshots = [
+            _expect(conn, s, "stats") for s, conn in enumerate(conns)
+        ]
         for conn in conns:
             conn.send(("stop",))
         return consumers_per_shard, shard_snapshots

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.ids import EntityId, IdFactory
+from repro.common.philox import keyed_uniforms, keyed_words
 from repro.common.randomness import SeedSequenceFactory
 from repro.services.consumer import Consumer, PreferenceProfile
 from repro.services.description import ServiceDescription
@@ -230,18 +231,21 @@ def shard_consumer_id(index: int, id_prefix: str = "consumer") -> str:
     return f"{id_prefix}-{index:07d}"
 
 
-def shard_consumer_streams(
-    seeds: SeedSequenceFactory, index: int
-) -> SeedSequenceFactory:
-    """Consumer *index*'s private seed factory.
+#: counter stream tags of a shard world's keyed per-consumer draws (the
+#: round kernel's per-round draws use tag 0, ``rounds.ROUND_STREAM``)
+WEIGHT_STREAM = 1
+RATING_SEED_STREAM = 2
 
-    Derived through the stateless :meth:`SeedSequenceFactory.spawn`, so
-    it is a pure function of (root entropy, index) — any shard can
-    rebuild any consumer's streams without replaying anyone else's
-    draws.  Sub-streams by label: ``weights``, ``rating`` (used by the
-    builder), ``policy``, ``invoke`` (used by the shard runtime).
+
+def consumer_draw_key(seeds: SeedSequenceFactory) -> int:
+    """The world's root Philox key for keyed per-consumer draws.
+
+    Consumer *i*'s draws are :func:`repro.common.philox.keyed_uniforms`
+    at key ``(consumer_draw_key(seeds), i)``: a pure function of (world
+    seed, index), so any shard can compute any consumer's draws without
+    building anyone else.
     """
-    return SeedSequenceFactory(seeds.spawn(f"shard-consumer/{index}"))
+    return seeds.spawn("shard-consumer-draws")
 
 
 def make_shard_consumers(
@@ -259,39 +263,49 @@ def make_shard_consumers(
     :func:`make_consumers` draws heterogeneous weights from one shared
     stream, so consumer *i*'s identity depends on consumers ``0..i-1``
     having been built first — building a shard's subset would change
-    everyone's draws.  Here every consumer is built purely from its own
-    :func:`shard_consumer_streams` factory, so building ``indices``
-    (default: everyone) yields bit-identical consumers no matter which
-    subset any other process builds.
+    everyone's draws.  Here consumer *i*'s weights and rating-stream
+    seed are keyed draws at :func:`consumer_draw_key` (streams
+    :data:`WEIGHT_STREAM`, :data:`RATING_SEED_STREAM`), so building
+    ``indices`` (default: everyone) yields bit-identical consumers no
+    matter which subset any other process builds.
     """
     metrics = taxonomy.names()
-    selected = range(count) if indices is None else indices
-    consumers: List[Consumer] = []
+    selected = list(range(count)) if indices is None else list(indices)
     for i in selected:
         if not 0 <= i < count:
             raise ValueError(
                 f"consumer index {i} outside [0, {count})"
             )
-        streams = shard_consumer_streams(seeds, i)
-        segment = i % max(1, n_segments)
-        if preference_heterogeneity <= 0:
-            weights = {m: 1.0 for m in metrics}
-        else:
-            weight_rng = streams.rng("weights")
-            base = 1.0 - preference_heterogeneity
-            weights = {
-                m: base + preference_heterogeneity * float(weight_rng.random())
-                for m in metrics
-            }
-        consumers.append(
-            Consumer(
-                consumer_id=shard_consumer_id(i, id_prefix),
-                preferences=PreferenceProfile(weights, segment=segment),
-                rating_noise=rating_noise,
-                rng=streams.rng("rating"),
-            )
+    key = consumer_draw_key(seeds)
+    segments = [i % max(1, n_segments) for i in selected]
+    if preference_heterogeneity <= 0:
+        # Profiles are frozen, so equal ones are shared per segment.
+        uniform = {
+            g: uniform_preferences(taxonomy, segment=g) for g in set(segments)
+        }
+        profiles = [uniform[g] for g in segments]
+    else:
+        draws = keyed_uniforms(
+            key, selected, 0, WEIGHT_STREAM, -(-len(metrics) // 4)
         )
-    return consumers
+        base = 1.0 - preference_heterogeneity
+        rows = (base + preference_heterogeneity * draws).tolist()
+        profiles = [
+            PreferenceProfile(dict(zip(metrics, row)), segment=g)
+            for row, g in zip(rows, segments)
+        ]
+    rating_seeds = keyed_words(key, selected, 0, RATING_SEED_STREAM, 1)
+    return [
+        Consumer(
+            consumer_id=shard_consumer_id(i, id_prefix),
+            preferences=profile,
+            rating_noise=rating_noise,
+            rng=seed,
+        )
+        for i, profile, seed in zip(
+            selected, profiles, rating_seeds[:, 0].tolist()
+        )
+    ]
 
 
 def make_shard_world(

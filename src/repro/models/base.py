@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
 from repro.common.ids import EntityId
-from repro.common.records import Feedback
+from repro.common.records import Feedback, feedback_columns
 from repro.obs.recorder import get_recorder
+from repro.store import EventStore
 
 if TYPE_CHECKING:  # imported lazily to avoid a core <-> models cycle
     from repro.core.typology import Typology
@@ -74,6 +75,27 @@ class ReputationModel(abc.ABC):
         """
         for fb in feedbacks:
             self.record(fb)
+
+    def record_columns(
+        self,
+        raters: Sequence[EntityId],
+        targets: Sequence[EntityId],
+        ratings: Sequence[float],
+        times: Sequence[float],
+    ) -> None:
+        """Bulk-ingest overall ratings given as parallel columns.
+
+        The columnar twin of :meth:`record_many` for rows that carry no
+        facet detail and no backing interaction (e.g. a shard merge).
+        Store-backed models append the columns with one
+        :meth:`~repro.store.EventStore.extend` (their ``record_many``
+        pivots into this); the default builds one
+        :class:`~repro.common.records.Feedback` per row.
+        """
+        self.record_many(
+            Feedback(rater=r, target=t, time=float(tm), rating=float(v))
+            for r, t, v, tm in zip(raters, targets, ratings, times)
+        )
 
     def score_many(
         self,
@@ -139,3 +161,32 @@ class ReputationModel(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
+
+
+class StoreBackedModel(ReputationModel):
+    """A model whose evidence is one float-time store of overall ratings.
+
+    Subclasses create ``self._store`` and read it through their
+    kernels; every write path lands in it: :meth:`record` appends one
+    row, :meth:`record_many` pivots into :meth:`record_columns`, which
+    is a single :meth:`~repro.store.EventStore.extend`.
+    """
+
+    _store: EventStore
+
+    def record(self, feedback: Feedback) -> None:
+        self._store.append(
+            feedback.rater, feedback.target, feedback.rating, feedback.time
+        )
+
+    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
+        self.record_columns(*feedback_columns(feedbacks))
+
+    def record_columns(
+        self,
+        raters: Sequence[EntityId],
+        targets: Sequence[EntityId],
+        ratings: Sequence[float],
+        times: Sequence[float],
+    ) -> None:
+        self._store.extend(raters, targets, ratings, times)

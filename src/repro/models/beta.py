@@ -21,19 +21,18 @@ the kernel evaluates the recursion's closed form.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
-from repro.common.records import Feedback, feedback_columns
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import StoreBackedModel
 from repro.store import EventStore, group_counts, group_sums
 
 
-class BetaReputation(ReputationModel):
+class BetaReputation(StoreBackedModel):
     """Beta reputation with multiplicative forgetting.
 
     Args:
@@ -69,14 +68,6 @@ class BetaReputation(ReputationModel):
         self._kernel: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # -- evidence ------------------------------------------------------
-    def record(self, feedback: Feedback) -> None:
-        self._store.append(
-            feedback.rater, feedback.target, feedback.rating, feedback.time
-        )
-
-    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
-        self._store.extend(*feedback_columns(feedbacks))
-
     def _advance(self) -> None:
         """Replay the original per-event recursion over rows the scalar
         state has not consumed yet — the exact reference path."""

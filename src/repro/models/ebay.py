@@ -17,15 +17,14 @@ time column slice, and ``score_many`` reduces the sign masks with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
-from repro.common.records import Feedback, feedback_columns
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import StoreBackedModel
 from repro.store import EventStore, group_counts
 
 
@@ -46,7 +45,7 @@ class FeedbackSummary:
         return 100.0 * self.positives / judged
 
 
-class EbayModel(ReputationModel):
+class EbayModel(StoreBackedModel):
     """eBay feedback: signed counts with recent-window views.
 
     Ratings on ``[0, 1]`` are ternarized: above ``positive_threshold``
@@ -86,14 +85,6 @@ class EbayModel(ReputationModel):
         return 0
 
     # -- evidence ------------------------------------------------------
-    def record(self, feedback: Feedback) -> None:
-        self._store.append(
-            feedback.rater, feedback.target, feedback.rating, feedback.time
-        )
-
-    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
-        self._store.extend(*feedback_columns(feedbacks))
-
     def _advance(self) -> None:
         """Replay signed-count accumulation over unconsumed rows — the
         exact scalar reference (signs re-derived from stored ratings)."""

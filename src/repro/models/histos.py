@@ -22,19 +22,18 @@ one lexsort, then a per-target ``np.bincount`` mean.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
-from repro.common.records import Feedback, feedback_columns
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import StoreBackedModel
 from repro.store import EventStore, group_sums, latest_rows
 
 
-class HistosModel(ReputationModel):
+class HistosModel(StoreBackedModel):
     """Personalized reputation over the rating graph.
 
     Args:
@@ -64,14 +63,6 @@ class HistosModel(ReputationModel):
         self._kernel: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # -- evidence ------------------------------------------------------
-    def record(self, feedback: Feedback) -> None:
-        self._store.append(
-            feedback.rater, feedback.target, feedback.rating, feedback.time
-        )
-
-    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
-        self._store.extend(*feedback_columns(feedbacks))
-
     def _advance(self) -> None:
         """Replay latest-edge extraction over unconsumed store rows —
         the exact scalar reference for the graph walks."""

@@ -139,9 +139,23 @@ class PeerTrustModel(ReputationModel):
 
     def record_many(self, feedbacks: Iterable[Feedback]) -> None:
         batch = list(feedbacks)
-        self._ctx.extend(_transaction_context(fb) for fb in batch)
-        raters, targets, values, times = feedback_columns(batch)
-        self._store.extend(raters, targets, values, ticks_array(times))
+        self.record_columns(
+            *feedback_columns(batch),
+            contexts=[_transaction_context(fb) for fb in batch],
+        )
+
+    def record_columns(
+        self,
+        raters: Sequence[EntityId],
+        targets: Sequence[EntityId],
+        ratings: Sequence[float],
+        times: Sequence[float],
+        contexts: Optional[Sequence[float]] = None,
+    ) -> None:
+        """Columnar ingest; rows without *contexts* carry no interaction,
+        so their transaction context is the neutral 1.0."""
+        self._store.extend(raters, targets, ratings, ticks_array(times))
+        self._ctx.extend([1.0] * len(ratings) if contexts is None else contexts)
 
     def _advance(self) -> None:
         """Replay transaction/filed accumulation over unconsumed store

@@ -30,19 +30,18 @@ once.  Coupled streams fall back to the exact scalar replay.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
-from repro.common.records import Feedback, feedback_columns
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import ReputationModel
+from repro.models.base import StoreBackedModel
 from repro.store import EventStore
 
 
-class SporasModel(ReputationModel):
+class SporasModel(StoreBackedModel):
     """Sporas recursive reputation.
 
     Args:
@@ -93,14 +92,6 @@ class SporasModel(ReputationModel):
         return 1.0 - 1.0 / (1.0 + math.exp(-(reputation - self.d) / self.sigma))
 
     # -- evidence ------------------------------------------------------
-    def record(self, feedback: Feedback) -> None:
-        self._store.append(
-            feedback.rater, feedback.target, feedback.rating, feedback.time
-        )
-
-    def record_many(self, feedbacks: Iterable[Feedback]) -> None:
-        self._store.extend(*feedback_columns(feedbacks))
-
     def _advance(self) -> None:
         """Replay the Zacharia recursion over unconsumed store rows —
         the exact scalar reference.

@@ -11,7 +11,10 @@ weighted by their :class:`PreferenceProfile`; dishonest strategies (in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, Mapping, Optional
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
@@ -100,7 +103,9 @@ class Consumer:
         rating_noise: std-dev of subjective noise added to each honest
             facet score before the strategy sees it — even honest humans
             don't rate with perfect precision.
-        rng: randomness source for the rating noise.
+        rng: randomness source for the rating noise; a seed is turned
+            into a generator on the first rating, so consumers that
+            never call :meth:`rate` (the vectorized round's) cost none.
     """
 
     def __init__(
@@ -117,7 +122,11 @@ class Consumer:
         self.preferences = preferences or PreferenceProfile()
         self.rating_strategy = rating_strategy
         self.rating_noise = rating_noise
-        self._rng = make_rng(rng)
+        self._rng_seed = rng
+
+    @cached_property
+    def _rng(self) -> np.random.Generator:
+        return make_rng(self._rng_seed)
 
     @property
     def segment(self) -> int:

@@ -47,12 +47,28 @@ class Interner:
             self._values.append(value)
         return code
 
+    def intern_list(self, values: Sequence[str]) -> List[int]:
+        """Codes for *values* in order, interning unseen ones in
+        first-appearance order (what an :meth:`intern` loop assigns).
+
+        Every pass is a C-level loop: look everything up, and if some
+        ids are unseen, register them (deduplicated, in order) in one
+        bulk update and look up again.
+        """
+        index = self._index
+        codes = list(map(index.get, values))
+        if None not in codes:
+            return codes
+        unseen = [v for c, v in zip(codes, values) if c is None]
+        fresh = list(dict.fromkeys(unseen))
+        start = len(self._values)
+        index.update(zip(fresh, range(start, start + len(fresh))))
+        self._values.extend(fresh)
+        return list(map(index.__getitem__, values))
+
     def intern_many(self, values: Iterable[str]) -> np.ndarray:
         """Codes for *values* (interning new ones), as an int32 array."""
-        intern = self.intern
-        return np.fromiter(
-            (intern(v) for v in values), dtype=np.int32, count=-1
-        )
+        return np.array(self.intern_list(list(values)), dtype=np.int32)
 
     def code(self, value: str, default: int = MISSING_CODE) -> int:
         """Code for *value* without interning; *default* if unseen."""

@@ -27,9 +27,15 @@ Invariants the property suite pins:
   :meth:`canonical_bytes` for any ``chunk_size``, because the encoding
   covers logical row order and interner tables only;
 * **merge is concatenation + re-interning** — :meth:`merge_from`
-  appends the other store's rows in their logical order, translating
-  codes through this store's interners (the same canonical-merge
-  discipline the obs registry uses);
+  appends the other store's rows in their logical order (and
+  :meth:`extend_coded` rows coded against any id table), translating
+  codes through this store's interners exactly as an append loop over
+  those rows would (the same canonical-merge discipline the obs
+  registry uses);
+* **bad events stop at the boundary** — every write path rejects a
+  rating that is NaN, infinite or outside ``[0, 1]`` and a non-finite
+  time with :class:`~repro.common.errors.InvalidEventError`;
+  out-of-order times are legal and only clear :attr:`times_monotonic`;
 * **indexes are views** — :meth:`by_target` etc. return group slices
   (stable argsort + searchsorted) over the snapshot, never copies of
   the event data.
@@ -37,8 +43,10 @@ Invariants the property suite pins:
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -52,6 +60,7 @@ from typing import (
 
 import numpy as np
 
+from repro.common.errors import InvalidEventError
 from repro.store.interner import Interner
 
 __all__ = ["ColumnSet", "EventStore", "GroupIndex", "OVERALL_FACET"]
@@ -63,6 +72,44 @@ OVERALL_FACET = -1
 _EMPTY_I4 = np.empty(0, dtype=np.int32)
 _EMPTY_F8 = np.empty(0, dtype=np.float64)
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
+
+
+def _check_ratings(values: np.ndarray) -> None:
+    """Reject NaN, infinite and out-of-``[0, 1]`` ratings."""
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise InvalidEventError(
+            f"rating must be in [0, 1], got {values[row]!r} at row {row}"
+        )
+
+
+def _check_times(times: np.ndarray) -> None:
+    """Reject non-finite float times (int64 ticks are finite)."""
+    if times.dtype.kind == "f":
+        bad = ~np.isfinite(times)
+        if bad.any():
+            row = int(np.argmax(bad))
+            raise InvalidEventError(
+                f"time must be finite, got {times[row]!r} at row {row}"
+            )
+
+
+def _first_appearance(codes: np.ndarray) -> np.ndarray:
+    """The distinct *codes* in order of first appearance."""
+    distinct, first = np.unique(codes, return_index=True)
+    return distinct[np.argsort(first, kind="stable")]
+
+
+def _translation(
+    interner: Interner, values: Tuple[str, ...], codes: np.ndarray
+) -> np.ndarray:
+    """Map foreign *codes* (into *values*) onto *interner*'s codes,
+    interning unseen values in first-appearance order of *codes*."""
+    mapping = np.zeros(len(values), dtype=np.int32)
+    seen = _first_appearance(codes)
+    mapping[seen] = interner.intern_many(values[c] for c in seen.tolist())
+    return mapping
 
 
 @dataclass(frozen=True)
@@ -255,10 +302,14 @@ class EventStore:
         facet: Optional[str] = None,
     ) -> None:
         """Append one row (the ``record`` hot path)."""
+        if not 0.0 <= value <= 1.0:
+            raise InvalidEventError(f"rating must be in [0, 1], got {value!r}")
         if self._time_is_int:
             # Rejects floats outright: silent truncation of a float
             # timestamp is exactly the bug tick stores exist to prevent.
             time = operator.index(time)
+        elif not math.isfinite(time):
+            raise InvalidEventError(f"time must be finite, got {time!r}")
         self._tail_rater.append(self.entities.intern(rater))
         self._tail_target.append(self.entities.intern(target))
         self._tail_facet.append(
@@ -290,30 +341,74 @@ class EventStore:
         n = len(values)
         if not n:
             return
+        ratings = np.asarray(values, dtype=np.float64)
+        _check_ratings(ratings)
+        arr = self._as_time_array(times)
+        _check_times(arr)
         # Intern rater/target interleaved per row — interning all raters
         # first would assign different codes than the append loop when a
         # new id shows up in both columns.
-        intern = self.entities.intern
-        rater_codes = [0] * n
-        target_codes = [0] * n
-        for i, (rater, target) in enumerate(zip(raters, targets)):
-            rater_codes[i] = intern(rater)
-            target_codes[i] = intern(target)
-        self._tail_rater.extend(rater_codes)
-        self._tail_target.extend(target_codes)
-        self._tail_facet.extend([OVERALL_FACET] * n)
-        self._tail_value.extend(values)
-        arr = self._as_time_array(times)
-        self._tail_time.extend(arr.tolist())
+        codes = np.array(
+            self.entities.intern_list(
+                list(chain.from_iterable(zip(raters, targets)))
+            ),
+            dtype=np.int32,
+        )
+        self._push(
+            codes[0::2],
+            codes[1::2],
+            np.full(n, OVERALL_FACET, dtype=np.int32),
+            ratings,
+            arr,
+        )
+
+    def _push(
+        self,
+        rater: np.ndarray,
+        target: np.ndarray,
+        facet: np.ndarray,
+        value: np.ndarray,
+        time: np.ndarray,
+    ) -> None:
+        """Append validated, interned column arrays (at least one row).
+
+        Tops the tail up to a chunk boundary, seals whole chunks
+        straight from (copies of) the arrays, and keeps the remainder
+        as the new tail — the same chunks an append loop would seal,
+        without a round trip through Python lists.
+        """
+        n = len(value)
         if self._times_sorted:
             last = self._last_time
-            if (last is not None and len(arr) and arr[0] < last) or (
-                len(arr) > 1 and bool(np.any(np.diff(arr) < 0))
+            if (last is not None and time[0] < last) or (
+                n > 1 and bool(np.any(np.diff(time) < 0))
             ):
                 self._times_sorted = False
-        self._last_time = self._py_time(arr[n - 1])
-        while len(self._tail_value) >= self.chunk_size:
-            self._seal_tail(self.chunk_size)
+        self._last_time = self._py_time(time[-1])
+        columns = (rater, target, facet, value, time)
+        tails = (
+            self._tail_rater,
+            self._tail_target,
+            self._tail_facet,
+            self._tail_value,
+            self._tail_time,
+        )
+        size = self.chunk_size
+        pos = min(n, size - len(self._tail_value)) if self._tail_value else 0
+        if pos:
+            for tail, column in zip(tails, columns):
+                tail.extend(column[:pos].tolist())
+            if len(self._tail_value) >= size:
+                self._seal_tail()
+        while n - pos >= size:
+            self._chunks.append(
+                _Chunk(*(column[pos : pos + size].copy() for column in columns))
+            )
+            self._sealed_rows += size
+            pos += size
+        if pos < n:
+            for tail, column in zip(tails, columns):
+                tail.extend(column[pos:].tolist())
 
     def _as_time_array(self, times: Sequence[float]) -> np.ndarray:
         arr = np.asarray(times)
@@ -497,9 +592,15 @@ class EventStore:
         """Append *other*'s rows (in their logical order), translating
         its codes through this store's interners.
 
+        Unseen ids are interned in first-appearance order of the
+        appended rows (rater before target), so the result is
+        byte-identical to an :meth:`append` loop over them.
+
         Both stores must share a time dtype — merging float64 times
         into an int64 tick column (or vice versa) would silently
         reintroduce the rounding drift tick stores exist to rule out.
+        Rows are validated like :meth:`extend`'s: a delta that crossed
+        a process boundary is re-checked before it becomes canonical.
         """
         if other.time_dtype != self.time_dtype:
             raise ValueError(
@@ -510,35 +611,64 @@ class EventStore:
         columns = other.snapshot()
         if not columns.n:
             return
-        entity_map = self.entities.intern_many(other.entities.values())
-        facet_values = other.facets.values()
-        facet_map = (
-            self.facets.intern_many(facet_values)
-            if facet_values
-            else _EMPTY_I4
+        self._append_coded(
+            other.entities.values(),
+            other.facets.values(),
+            columns.rater,
+            columns.target,
+            columns.facet,
+            columns.value,
+            columns.time,
         )
-        raters = entity_map[columns.rater]
-        targets = entity_map[columns.target]
-        overall = columns.facet == OVERALL_FACET
-        facets = np.where(
-            overall,
-            np.int32(OVERALL_FACET),
-            facet_map[np.where(overall, 0, columns.facet)]
-            if len(facet_map)
-            else np.int32(OVERALL_FACET),
-        ).astype(np.int32)
-        self._tail_rater.extend(raters.tolist())
-        self._tail_target.extend(targets.tolist())
-        self._tail_facet.extend(facets.tolist())
-        self._tail_value.extend(columns.value.tolist())
-        self._tail_time.extend(columns.time.tolist())
-        times = columns.time
-        if self._times_sorted and len(times):
-            last = self._last_time
-            if (last is not None and times[0] < last) or (
-                len(times) > 1 and bool(np.any(np.diff(times) < 0))
-            ):
-                self._times_sorted = False
-        self._last_time = self._py_time(times[-1])
-        while len(self._tail_value) >= self.chunk_size:
-            self._seal_tail(self.chunk_size)
+
+    def extend_coded(
+        self,
+        names: Sequence[str],
+        raters: np.ndarray,
+        targets: np.ndarray,
+        values: np.ndarray,
+        times: np.ndarray,
+    ) -> None:
+        """Bulk-append overall rows whose ids are codes into *names*.
+
+        The code-column twin of :meth:`extend`: *names* is a foreign id
+        table (it may repeat an id under several codes, e.g. several
+        stores' tables laid end to end) and ids are interned exactly as
+        :meth:`extend` would intern ``names[raters]`` / ``names[targets]``.
+        """
+        if not len(values):
+            return
+        self._append_coded(
+            tuple(names),
+            (),
+            np.asarray(raters),
+            np.asarray(targets),
+            np.full(len(values), OVERALL_FACET, dtype=np.int32),
+            np.asarray(values, dtype=np.float64),
+            self._as_time_array(times),
+        )
+
+    def _append_coded(
+        self,
+        names: Tuple[str, ...],
+        facet_names: Tuple[str, ...],
+        rater: np.ndarray,
+        target: np.ndarray,
+        facet: np.ndarray,
+        values: np.ndarray,
+        times: np.ndarray,
+    ) -> None:
+        """Validate, translate foreign codes, and push (shared by the
+        merge and coded-extend paths)."""
+        _check_ratings(values)
+        _check_times(times)
+        pairs = np.empty(2 * len(rater), dtype=np.int64)
+        pairs[0::2] = rater
+        pairs[1::2] = target
+        entity_map = _translation(self.entities, names, pairs)
+        overall = facet == OVERALL_FACET
+        facets = np.full(len(facet), OVERALL_FACET, dtype=np.int32)
+        if not overall.all():
+            facet_map = _translation(self.facets, facet_names, facet[~overall])
+            facets[~overall] = facet_map[facet[~overall]]
+        self._push(entity_map[rater], entity_map[target], facets, values, times)

@@ -19,6 +19,7 @@ from repro.experiments.sharded import (
     PROCESS,
     SERIAL,
     ShardRuntime,
+    ShardWorkerError,
     ShardedRunSpec,
     register_shard_world_builder,
     run_sharded_experiment,
@@ -45,6 +46,18 @@ def _spec(seed: int, **overrides) -> ShardedRunSpec:
     )
     params.update(overrides)
     return ShardedRunSpec(**params)
+
+
+def exploding_shard_world(seed, consumer_indices=None, **params):
+    """Builds the catalogue, but fails on any shard that owns consumers."""
+    if consumer_indices:
+        raise RuntimeError("shard world builder exploded on purpose")
+    return make_shard_world(seed=seed, consumer_indices=consumer_indices, **params)
+
+
+register_shard_world_builder(
+    "test-exploding-shard-world", exploding_shard_world, overwrite=True
+)
 
 
 def trace_sha256(report) -> str:
@@ -118,6 +131,17 @@ class TestProcessMode:
         assert (
             pooled.dispatch.rows_per_shard == serial.dispatch.rows_per_shard
         )
+
+    def test_worker_failure_surfaces_typed_with_traceback(self):
+        spec = _spec(5, world="test-exploding-shard-world")
+        with pytest.raises(ShardWorkerError) as info:
+            run_sharded_experiment(spec, shards=2, mode=PROCESS)
+        error = info.value
+        assert error.shard == 0
+        assert "Traceback (most recent call last)" in error.worker_traceback
+        assert "exploded on purpose" in error.worker_traceback
+        assert "exploding_shard_world" in error.worker_traceback
+        assert error.worker_traceback in str(error)
 
     def test_unpicklable_builder_falls_back_to_serial(self):
         register_shard_world_builder(
