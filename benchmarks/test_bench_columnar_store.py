@@ -92,9 +92,14 @@ def _build_store(n: int, n_raters: int, n_targets: int) -> EventStore:
 
 def _cold_clone(name: str, store: EventStore) -> ReputationModel:
     """A fresh instance attached to the warm store: empty replay state,
-    empty kernel caches — the from-raw-events query cost."""
+    empty kernel caches and fold state — the from-raw-events query
+    cost."""
     model = REGISTRY.create(name)
     model._store = store
+    # Incremental fold state lives on the model, never on the shared
+    # store: the clone must fold from row 0, or the gate would time a
+    # warm cache.
+    assert getattr(model, "folded_rows", 0) == 0, name
     if hasattr(model, "_ctx"):
         # PeerTrust keeps a row-aligned context column beside the store;
         # overall-only feedback always has context weight 1.0.

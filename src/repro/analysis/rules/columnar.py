@@ -2,11 +2,11 @@
 
 R007 — no per-row Python loops over store columns in model kernels.
 The columnar :class:`~repro.store.EventStore` exists so scoring math
-runs as numpy reductions (``bincount``/``lexsort`` over the snapshot's
-column arrays); a ``for`` loop or comprehension over those columns —
-or over ``iter_rows(...)`` — reintroduces the per-event Python frame
-the store was built to eliminate, silently costing the 10-100x the
-benchmarks gate on.  The scalar replay paths that *define* model
+runs as numpy reductions (``bincount``/``lexsort`` over the column
+arrays of a snapshot or a ``columns_since`` delta); a ``for`` loop or
+comprehension over those columns — or over ``iter_rows(...)`` —
+reintroduces the per-event Python frame the store was built to
+eliminate, silently costing the 10-100x the benchmarks gate on.  The scalar replay paths that *define* model
 semantics are the sanctioned exception: they carry
 ``# reprolint: disable=R007`` with a comment naming them as the
 reference implementation.
@@ -97,7 +97,10 @@ class _ColumnScope:
         if isinstance(node, ast.Call) and isinstance(
             node.func, ast.Attribute
         ):
-            if node.func.attr == "snapshot" and not node.args:
+            if (
+                node.func.attr == "snapshot" and not node.args
+            ) or node.func.attr == "columns_since":
+                # The delta reader returns the same ColumnSet shape.
                 return "snapshot"
             if node.func.attr == "iter_rows":
                 return "rows"

@@ -117,6 +117,7 @@ _INGEST_CLASSES = frozenset({"Arrival", "IngestRecord"})
 _FROZEN_PRODUCERS = frozenset(
     {
         "snapshot",
+        "columns_since",
         "by_target",
         "by_rater",
         "by_pair",

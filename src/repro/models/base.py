@@ -13,10 +13,12 @@ import abc
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.common.ids import EntityId
 from repro.common.records import Feedback, feedback_columns
 from repro.obs.recorder import get_recorder
-from repro.store import EventStore
+from repro.store import ColumnSet, EventStore
 
 if TYPE_CHECKING:  # imported lazily to avoid a core <-> models cycle
     from repro.core.typology import Typology
@@ -109,8 +111,11 @@ class ReputationModel(abc.ABC):
         them together to 1e-9 under any record/query interleaving:
 
         1. **columnar kernel** — store-backed models override this with
-           numpy reductions (bincount/lexsort) over the shared
-           :class:`~repro.store.EventStore` snapshot, cached per store
+           numpy reductions over the shared
+           :class:`~repro.store.EventStore`; beta, ebay and sporas fold
+           only the rows appended since their last query into running
+           state (:meth:`StoreBackedModel._sync`, with the from-scratch
+           fold as oracle), the rest reduce the snapshot per store
            version;
         2. **scalar reference** — ported models keep their pre-columnar
            python batch path as ``score_many_reference`` (and some
@@ -170,9 +175,24 @@ class StoreBackedModel(ReputationModel):
     kernels; every write path lands in it: :meth:`record` appends one
     row, :meth:`record_many` pivots into :meth:`record_columns`, which
     is a single :meth:`~repro.store.EventStore.extend`.
+
+    **The fold contract.**  Models with an incremental kernel keep
+    model-private running state and implement :meth:`_reset_fold`
+    (empty state) and :meth:`_fold` (absorb a delta of rows, in order).
+    :meth:`_sync` is the one "fold what's new" step: it remembers which
+    store object it folded and how many of its rows, hands only the
+    rows appended since to ``_fold`` (read with
+    :meth:`~repro.store.EventStore.columns_since`), and starts over
+    when the store object is replaced or has fewer rows.  The
+    from-scratch result — the same ``_fold`` applied to
+    ``columns_since(0)`` on reset state — is the oracle every
+    incremental state must equal.
     """
 
     _store: EventStore
+    #: the store object and row count the fold state covers
+    _fold_store: Optional[EventStore] = None
+    _fold_rows = 0
 
     def record(self, feedback: Feedback) -> None:
         self._store.append(
@@ -190,3 +210,50 @@ class StoreBackedModel(ReputationModel):
         times: Sequence[float],
     ) -> None:
         self._store.extend(raters, targets, ratings, times)
+
+    # -- incremental fold ----------------------------------------------
+    @property
+    def folded_rows(self) -> int:
+        """Rows of the current store the fold state covers."""
+        return self._fold_rows if self._fold_store is self._store else 0
+
+    def _sync(self) -> None:
+        """Fold the rows appended since the last call into the state."""
+        store = self._store
+        n = len(store)
+        if self._fold_store is not store or n < self._fold_rows:
+            self._reset_fold()
+            self._fold_store = store
+            self._fold_rows = 0
+        if n > self._fold_rows:
+            self._fold(store.columns_since(self._fold_rows))
+            self._fold_rows = n
+
+    def _reset_fold(self) -> None:
+        """Drop the fold state (models with an incremental kernel)."""
+        raise NotImplementedError
+
+    def _fold(self, delta: ColumnSet) -> None:
+        """Absorb *delta*'s rows, in order, into the fold state."""
+        raise NotImplementedError
+
+    def _gathered(
+        self, targets: Sequence[EntityId], *states: np.ndarray
+    ) -> List[np.ndarray]:
+        """Each per-code *state* array gathered at *targets*; call after
+        :meth:`_sync`.  Ids the store has never seen carry code -1,
+        which reads the spare zero slot :func:`grown` keeps last."""
+        codes = self._store.entities.codes(targets)
+        return [state[codes] for state in states]
+
+
+def grown(state: np.ndarray, size: int) -> np.ndarray:
+    """*state* zero-padded past *size* entries, growing by doubling so
+    per-fold entity-table growth costs amortized O(1).  At least one
+    spare slot past *size* is kept, and stays zero (folds write only
+    codes below *size*), so a gather at code -1 reads 0."""
+    if len(state) > size:
+        return state
+    out = np.zeros(max(size + 1, 2 * len(state)), dtype=state.dtype)
+    out[: len(state)] = state
+    return out

@@ -13,10 +13,13 @@ evidence multiplicatively on every update, giving the model the
 Storage is the columnar :class:`~repro.store.EventStore`: ``record`` is
 a single store append, the scalar path lazily replays the original
 per-event recursion off the store rows (the exact reference), and
-``score_many`` reduces the target column with ``np.bincount``.  For
-``lam == 1`` the segment sum performs the same additions in the same
-order as the recursion, so the two paths agree bitwise; for ``lam < 1``
-the kernel evaluates the recursion's closed form.
+``score_many`` folds only the rows appended since its last query into
+running per-target sums (``np.add.at``; the fold contract is on
+:class:`~repro.models.base.StoreBackedModel`).  For ``lam == 1`` the
+running sums perform the same additions in the same order as the
+recursion, so the two paths agree bitwise; for ``lam < 1`` a fold
+applies the recursion's closed form to the delta: a target with ``k``
+new ratings becomes ``lam**k * old + sum_r lam**(k - 1 - r) * v_r``.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import StoreBackedModel
-from repro.store import EventStore, group_counts, group_sums
+from repro.models.base import StoreBackedModel, grown
+from repro.store import ColumnSet, EventStore, GroupIndex, group_sums
 
 
 class BetaReputation(StoreBackedModel):
@@ -64,8 +67,6 @@ class BetaReputation(StoreBackedModel):
         #: over store rows (`_replay_pos` = rows consumed so far)
         self._evidence: Dict[int, Tuple[float, float]] = {}
         self._replay_pos = 0
-        #: columnar kernel cache: (store version, alpha, beta) arrays
-        self._kernel: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     # -- evidence ------------------------------------------------------
     def _advance(self) -> None:
@@ -131,39 +132,42 @@ class BetaReputation(StoreBackedModel):
             append(a / (a + b))
         return out
 
-    # -- columnar kernel -----------------------------------------------
-    def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense per-code (alpha, beta) mass reduced from the store
-        columns, cached per store version."""
-        store = self._store
-        version = store.version
-        cached = self._kernel
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        columns = store.snapshot()
-        size = max(len(store.entities), 1)
+    # -- incremental kernel --------------------------------------------
+    def _reset_fold(self) -> None:
+        #: per-code positive mass, and beside it the row count
+        #: (``lam == 1``: negative mass is ``count - alpha`` at score
+        #: time) or the negative mass (``lam < 1``)
+        self._alpha = np.zeros(1)
+        self._other = np.zeros(
+            1, dtype=np.int64 if self.lam == 1.0 else np.float64
+        )
+
+    def _fold(self, delta: ColumnSet) -> None:
+        size = len(self._store.entities)
+        alpha = self._alpha = grown(self._alpha, size)
+        other = self._other = grown(self._other, size)
         if self.lam == 1.0:
-            # bincount adds weights in row order — exactly the additions
-            # the recursion performs when nothing is forgotten.
-            alpha = group_sums(columns.target, size, columns.value)
-            beta = (
-                group_counts(columns.target, size).astype(np.float64) - alpha
-            )
-        else:
-            # Closed form of the recursion: the k-th rating of a target
-            # (0-based, n per group) carries weight lam**(n - 1 - k).
-            index = store.by_target()
-            sizes = index.group_sizes()
-            per_row_size = np.repeat(sizes, sizes)
-            exponents = per_row_size - 1 - index.ranks()
-            weights = np.power(self.lam, exponents.astype(np.float64))
-            rows = index.order
-            targets = columns.target[rows]
-            values = columns.value[rows]
-            alpha = group_sums(targets, size, weights * values)
-            beta = group_sums(targets, size, weights * (1.0 - values))
-        self._kernel = (version, alpha, beta)
-        return alpha, beta
+            # add.at adds in row order onto the running sums — the same
+            # additions, in the same order, as the recursion (and as a
+            # bincount over the whole history from zero).
+            np.add.at(alpha, delta.target, delta.value)
+            np.add.at(other, delta.target, 1)
+            return
+        # Closed form of the recursion over the delta: a target with k
+        # new ratings scales its old mass by lam**k and adds its r-th
+        # new rating (0-based) with weight lam**(k - 1 - r).
+        index = GroupIndex(delta.target)
+        sizes = index.group_sizes()
+        exponents = np.repeat(sizes, sizes) - 1 - index.ranks()
+        weights = np.power(self.lam, exponents.astype(np.float64))
+        values = delta.value[index.order]
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        new_alpha = group_sums(group, len(sizes), weights * values)
+        new_beta = group_sums(group, len(sizes), weights * (1.0 - values))
+        codes = index.codes
+        decay = np.power(self.lam, sizes.astype(np.float64))
+        alpha[codes] = decay * alpha[codes] + new_alpha
+        other[codes] = decay * other[codes] + new_beta
 
     def score_many(
         self,
@@ -171,13 +175,12 @@ class BetaReputation(StoreBackedModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> List[float]:
-        """Batch posterior means: one segment reduction plus a gather."""
-        alpha, beta = self._kernel_arrays()
-        codes = self._store.entities.codes(targets)
-        known = codes >= 0
-        safe = np.where(known, codes, 0)
-        a = np.where(known, alpha[safe], 0.0) + self.prior_alpha
-        b = np.where(known, beta[safe], 0.0) + self.prior_beta
+        """Batch posterior means: fold the new rows, then one gather."""
+        self._sync()
+        alpha, other = self._gathered(targets, self._alpha, self._other)
+        beta = other - alpha if self.lam == 1.0 else other
+        a = alpha + self.prior_alpha
+        b = beta + self.prior_beta
         result: List[float] = (a / (a + b)).tolist()
         return result
 

@@ -10,8 +10,9 @@ Each report is a **single** append to the columnar
 :class:`~repro.store.EventStore` (the former entry-list + running-totals
 dual bookkeeping is gone): the scalar path replays signed counts lazily
 off the store rows, recent-window summaries threshold the per-target
-time column slice, and ``score_many`` reduces the sign masks with
-``np.bincount`` — all counts are integers, so every path is exact.
+time column slice, and ``score_many`` folds only the rows appended
+since its last query into running per-target positive / negative
+counts — all counts are integers, so every path is exact.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import StoreBackedModel
-from repro.store import EventStore, group_counts
+from repro.models.base import StoreBackedModel, grown
+from repro.store import ColumnSet, EventStore
 
 
 @dataclass(frozen=True)
@@ -74,8 +75,6 @@ class EbayModel(StoreBackedModel):
         #: [positives, negatives, total], replayed lazily off the store
         self._totals: Dict[int, List[int]] = {}
         self._replay_pos = 0
-        #: columnar kernel cache: (version, positives, negatives) arrays
-        self._kernel: Optional[Tuple[int, np.ndarray, np.ndarray]] = None
 
     def _sign(self, rating: float) -> int:
         if rating > self.positive_threshold:
@@ -187,25 +186,19 @@ class EbayModel(StoreBackedModel):
             append((positives + 1.0) / (positives + negatives + 2.0))
         return out
 
-    # -- columnar kernel -----------------------------------------------
-    def _kernel_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense per-code (positives, negatives) counts reduced from the
-        value column, cached per store version."""
-        store = self._store
-        version = store.version
-        cached = self._kernel
-        if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        columns = store.snapshot()
-        size = max(len(store.entities), 1)
-        positives = group_counts(
-            columns.target[columns.value > self.positive_threshold], size
-        )
-        negatives = group_counts(
-            columns.target[columns.value < self.negative_threshold], size
-        )
-        self._kernel = (version, positives, negatives)
-        return positives, negatives
+    # -- incremental kernel --------------------------------------------
+    def _reset_fold(self) -> None:
+        #: running per-code positive / negative counts
+        self._positives = np.zeros(1, dtype=np.int64)
+        self._negatives = np.zeros(1, dtype=np.int64)
+
+    def _fold(self, delta: ColumnSet) -> None:
+        size = len(self._store.entities)
+        self._positives = grown(self._positives, size)
+        self._negatives = grown(self._negatives, size)
+        targets, values = delta.target, delta.value
+        np.add.at(self._positives, targets[values > self.positive_threshold], 1)
+        np.add.at(self._negatives, targets[values < self.negative_threshold], 1)
 
     def score_many(
         self,
@@ -213,13 +206,13 @@ class EbayModel(StoreBackedModel):
         perspective: Optional[EntityId] = None,
         now: Optional[float] = None,
     ) -> List[float]:
-        """Batch Laplace-smoothed positive fractions from sign-mask
-        bincounts (integer counts — exact by construction)."""
-        positives, negatives = self._kernel_arrays()
-        codes = self._store.entities.codes(targets)
-        known = codes >= 0
-        safe = np.where(known, codes, 0)
-        pos = np.where(known, positives[safe], 0).astype(np.float64)
-        neg = np.where(known, negatives[safe], 0).astype(np.float64)
+        """Batch Laplace-smoothed positive fractions from the running
+        sign counts (integer counts — exact by construction)."""
+        self._sync()
+        positives, negatives = self._gathered(
+            targets, self._positives, self._negatives
+        )
+        pos = positives.astype(np.float64)
+        neg = negatives.astype(np.float64)
         result: List[float] = ((pos + 1.0) / (pos + neg + 2.0)).tolist()
         return result

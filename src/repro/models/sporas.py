@@ -24,21 +24,25 @@ entity is both a rater and a target (the common web-service shape —
 consumers rate services), every rater weight is the newcomer floor and
 the per-target recursions are independent, so the kernel runs them as
 vectorized *rounds* — round k applies every target's k-th rating at
-once.  Coupled streams fall back to the exact scalar replay.
+once.  The kernel is incremental: each query folds only the rows
+appended since the last one, sweeping just their rounds onto the
+persisted per-target state.  Sticky "ever rater" / "ever target" masks
+detect coupling from each delta alone; a coupled stream stays coupled
+and is answered by the exact scalar replay (itself incremental).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.core.typology import Architecture, Scope, Subject, Typology
-from repro.models.base import StoreBackedModel
-from repro.store import EventStore
+from repro.models.base import StoreBackedModel, grown
+from repro.store import ColumnSet, EventStore, GroupIndex
 
 
 class SporasModel(StoreBackedModel):
@@ -85,8 +89,6 @@ class SporasModel(StoreBackedModel):
         self._rd: Dict[int, float] = {}
         self._count: Dict[int, int] = {}
         self._replay_pos = 0
-        #: columnar kernel cache: (version, reputations | None)
-        self._kernel: Optional[Tuple[int, Optional[np.ndarray]]] = None
 
     def _phi(self, reputation: float) -> float:
         return 1.0 - 1.0 / (1.0 + math.exp(-(reputation - self.d) / self.sigma))
@@ -171,62 +173,60 @@ class SporasModel(StoreBackedModel):
             reputation.get(code(target), 0.0) / d for target in targets
         ]
 
-    # -- columnar kernel -----------------------------------------------
-    def _kernel_array(self) -> Optional[np.ndarray]:
-        """Dense per-code reputations from the vectorized-rounds kernel,
-        or ``None`` when the stream couples raters and targets (then the
-        exact scalar replay is the only correct evaluation order)."""
-        store = self._store
-        version = store.version
-        cached = self._kernel
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        columns = store.snapshot()
-        result: Optional[np.ndarray]
-        if not columns.n:
-            result = np.zeros(max(len(store.entities), 1))
-        elif np.intersect1d(
-            np.unique(columns.rater), np.unique(columns.target)
-        ).size:
-            result = None  # coupled stream: rater weights depend on order
-        else:
-            # Disjoint raters/targets: every rater keeps reputation 0, so
-            # rater_weight is the constant newcomer floor and targets
-            # evolve independently.  Group rows by target (stable, so
-            # within-group order = event order), then sweep rank rounds:
-            # round k fancy-gathers the state of every target receiving
-            # its k-th rating, applies the update, and scatters back.
-            index = store.by_target()
-            ranks = index.ranks()
-            sorted_targets = columns.target[index.order]
-            round_order = np.lexsort((sorted_targets, ranks))
-            rows = index.order[round_order]
-            round_ranks = ranks[round_order]
-            targets_by_round = columns.target[rows]
-            values_by_round = columns.value[rows]
-            max_rank = int(round_ranks[-1])
-            bounds = np.searchsorted(
-                round_ranks, np.arange(max_rank + 2)
+    # -- incremental kernel --------------------------------------------
+    def _reset_fold(self) -> None:
+        #: per-code reputations from the vectorized-rounds kernel
+        self._state = np.zeros(1)
+        #: sticky masks of codes ever seen as rater / as target, so
+        #: coupling is detected from each delta alone
+        self._ever_rater = np.zeros(1, dtype=bool)
+        self._ever_target = np.zeros(1, dtype=bool)
+        self._coupled = False
+
+    def _fold(self, delta: ColumnSet) -> None:
+        if self._coupled:
+            return  # coupled for good: the scalar replay answers
+        size = len(self._store.entities)
+        self._state = grown(self._state, size)
+        ever_rater = self._ever_rater = grown(self._ever_rater, size)
+        ever_target = self._ever_target = grown(self._ever_target, size)
+        ever_rater[delta.rater] = True
+        ever_target[delta.target] = True
+        if ever_target[delta.rater].any() or ever_rater[delta.target].any():
+            # Coupled stream: rater weights depend on order, so only the
+            # exact scalar replay evaluates it correctly.
+            self._coupled = True
+            return
+        # Disjoint raters/targets: every rater keeps reputation 0, so
+        # rater_weight is the constant newcomer floor and targets evolve
+        # independently.  Group the delta by target (stable, so within-
+        # group order = event order), then sweep rank rounds: round k
+        # fancy-gathers the state of every target receiving its k-th new
+        # rating, applies the update, and scatters back.
+        index = GroupIndex(delta.target)
+        ranks = index.ranks()
+        sorted_targets = delta.target[index.order]
+        round_order = np.lexsort((sorted_targets, ranks))
+        rows = index.order[round_order]
+        round_ranks = ranks[round_order]
+        targets_by_round = delta.target[rows]
+        values_by_round = delta.value[rows]
+        max_rank = int(round_ranks[-1])
+        bounds = np.searchsorted(round_ranks, np.arange(max_rank + 2))
+        d = self.d
+        gain = (1.0 / self.theta) * (self.NEWCOMER_FLOOR * d)
+        inv_sigma = 1.0 / self.sigma
+        state = self._state
+        for k in range(max_rank + 1):
+            lo, hi = int(bounds[k]), int(bounds[k + 1])
+            tc = targets_by_round[lo:hi]
+            current = state[tc]
+            phi = 1.0 - 1.0 / (1.0 + np.exp(-(current - d) * inv_sigma))
+            updated = current + gain * phi * (
+                values_by_round[lo:hi] - current / d
             )
-            d = self.d
-            gain = (1.0 / self.theta) * (self.NEWCOMER_FLOOR * d)
-            inv_sigma = 1.0 / self.sigma
-            state = np.zeros(max(len(store.entities), 1))
-            for k in range(max_rank + 1):
-                lo, hi = int(bounds[k]), int(bounds[k + 1])
-                tc = targets_by_round[lo:hi]
-                current = state[tc]
-                phi = 1.0 - 1.0 / (
-                    1.0 + np.exp(-(current - d) * inv_sigma)
-                )
-                updated = current + gain * phi * (
-                    values_by_round[lo:hi] - current / d
-                )
-                np.clip(updated, 0.0, d, out=updated)
-                state[tc] = updated
-            result = state
-        self._kernel = (version, result)
-        return result
+            np.clip(updated, 0.0, d, out=updated)
+            state[tc] = updated
 
     def score_many(
         self,
@@ -236,12 +236,9 @@ class SporasModel(StoreBackedModel):
     ) -> List[float]:
         """Batch reputations from the rounds kernel (gather + divide);
         coupled streams use the scalar-replay reference instead."""
-        state = self._kernel_array()
-        if state is None:
+        self._sync()
+        if self._coupled:
             return self.score_many_reference(targets, perspective, now)
-        codes = self._store.entities.codes(targets)
-        known = codes >= 0
-        safe = np.where(known, codes, 0)
-        scaled = np.where(known, state[safe], 0.0) / self.d
-        result: List[float] = scaled.tolist()
+        (state,) = self._gathered(targets, self._state)
+        result: List[float] = (state / self.d).tolist()
         return result

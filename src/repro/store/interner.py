@@ -12,6 +12,7 @@ byte-identity) possible; the property suite pins it.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -76,9 +77,8 @@ class Interner:
 
     def codes(self, values: Sequence[str]) -> np.ndarray:
         """Query-side bulk lookup; unseen ids map to :data:`MISSING_CODE`."""
-        get = self._index.get
         return np.fromiter(
-            (get(v, MISSING_CODE) for v in values),
+            map(self._index.get, values, repeat(MISSING_CODE)),
             dtype=np.int32,
             count=len(values),
         )

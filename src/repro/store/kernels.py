@@ -8,7 +8,9 @@ rather than re-deriving the index arithmetic.
 A property worth knowing when chasing exact parity: ``np.bincount``
 accumulates its weights **in input order** (one sequential add per
 row), so a kernel that feeds rows in the same order as the scalar
-recursion performs bit-identical additions.
+recursion performs bit-identical additions.  ``np.add.at`` onto a
+running array does the same, which is why an incremental fold of the
+new rows equals one bincount over the whole history bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-__all__ = ["group_counts", "group_sums", "latest_rows"]
+__all__ = ["group_sums", "latest_rows"]
 
 
 def group_sums(
@@ -33,11 +35,6 @@ def group_sums(
     return np.bincount(codes, weights=weights, minlength=minlength).astype(
         np.float64, copy=False
     )
-
-
-def group_counts(codes: np.ndarray, minlength: int) -> np.ndarray:
-    """Per-code row counts as an int64 array."""
-    return np.bincount(codes, minlength=minlength)
 
 
 def latest_rows(

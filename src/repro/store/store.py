@@ -15,7 +15,9 @@ column                dtype    meaning
 
 Rows live in sealed fixed-size numpy chunks plus a mutable Python-list
 tail, so ``append`` is a few list appends (no numpy realloc per event)
-while kernels see contiguous arrays via :meth:`EventStore.snapshot`.
+while kernels see contiguous arrays via :meth:`EventStore.snapshot`, or
+only the rows since a position via :meth:`EventStore.columns_since`
+(what incremental kernels fold).
 The implicit row number (append order) is the store's int64 sequence
 column — kernels that need "latest wins" tie-breaking get it from row
 position, which is why the logical row order is part of the canonical
@@ -54,6 +56,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Sized,
     Tuple,
     Union,
 )
@@ -93,6 +96,17 @@ def _check_times(times: np.ndarray) -> None:
             raise InvalidEventError(
                 f"time must be finite, got {times[row]!r} at row {row}"
             )
+
+
+def _check_lengths(*columns: Sized) -> int:
+    """The common length of parallel columns; a ragged set is rejected
+    before anything is interned."""
+    lengths = {len(column) for column in columns}
+    if len(lengths) != 1:
+        raise InvalidEventError(
+            f"column lengths differ: {[len(column) for column in columns]}"
+        )
+    return lengths.pop()
 
 
 def _first_appearance(codes: np.ndarray) -> np.ndarray:
@@ -338,7 +352,7 @@ class EventStore:
         would (same codes, same order); it just skips the per-event
         Python frame and list growth.
         """
-        n = len(values)
+        n = _check_lengths(raters, targets, values, times)
         if not n:
             return
         ratings = np.asarray(values, dtype=np.float64)
@@ -425,24 +439,23 @@ class EventStore:
     def _py_time(self, value: Union[int, float, np.number]) -> Union[int, float]:
         return int(value) if self._time_is_int else float(value)
 
-    def _seal_tail(self, limit: Optional[int] = None) -> None:
-        take = len(self._tail_value) if limit is None else limit
-        if not take:
-            return
-        chunk = _Chunk(
-            np.asarray(self._tail_rater[:take], dtype=np.int32),
-            np.asarray(self._tail_target[:take], dtype=np.int32),
-            np.asarray(self._tail_facet[:take], dtype=np.int32),
-            np.asarray(self._tail_value[:take], dtype=np.float64),
-            np.asarray(self._tail_time[:take], dtype=self.time_dtype),
+    def _seal_tail(self) -> None:
+        """Seal the (full) tail as one chunk of ``chunk_size`` rows."""
+        self._chunks.append(
+            _Chunk(
+                np.asarray(self._tail_rater, dtype=np.int32),
+                np.asarray(self._tail_target, dtype=np.int32),
+                np.asarray(self._tail_facet, dtype=np.int32),
+                np.asarray(self._tail_value, dtype=np.float64),
+                np.asarray(self._tail_time, dtype=self.time_dtype),
+            )
         )
-        self._chunks.append(chunk)
-        self._sealed_rows += take
-        del self._tail_rater[:take]
-        del self._tail_target[:take]
-        del self._tail_facet[:take]
-        del self._tail_value[:take]
-        del self._tail_time[:take]
+        self._sealed_rows += len(self._tail_value)
+        self._tail_rater.clear()
+        self._tail_target.clear()
+        self._tail_facet.clear()
+        self._tail_value.clear()
+        self._tail_time.clear()
 
     # -- reading -------------------------------------------------------
     def snapshot(self) -> ColumnSet:
@@ -452,42 +465,64 @@ class EventStore:
         cached = self._snapshot
         if cached is not None and cached[0] == version:
             return cached[1]
-        chunks = self._chunks
-        tail_n = len(self._tail_value)
-        if not chunks and not tail_n:
-            columns = ColumnSet(
+        columns = self._gather(0)
+        self._snapshot = (version, columns)
+        return columns
+
+    def columns_since(self, start: int) -> ColumnSet:
+        """Rows ``[start, len)`` as one :class:`ColumnSet` — the delta
+        reader incremental kernels fold.
+
+        Touches only the chunk holding *start*, the chunks after it and
+        the tail (every sealed chunk holds exactly ``chunk_size`` rows,
+        so that chunk is found by division); no full snapshot is built.
+        A single-part result is a view of a sealed chunk.
+        ``columns_since(0)`` is :meth:`snapshot`.
+        """
+        if start <= 0:
+            return self.snapshot()
+        return self._gather(start)
+
+    def _gather(self, start: int) -> ColumnSet:
+        """Rows ``[start, len)`` assembled from the chunks and tail."""
+        size = self.chunk_size
+        parts: List[Tuple[np.ndarray, ...]] = []
+        for i in range(start // size, len(self._chunks)):
+            c = self._chunks[i]
+            lo = max(0, start - i * size)
+            parts.append(
+                (
+                    c.rater[lo:],
+                    c.target[lo:],
+                    c.facet[lo:],
+                    c.value[lo:],
+                    c.time[lo:],
+                )
+            )
+        lo = max(0, start - self._sealed_rows)
+        if lo < len(self._tail_value):
+            parts.append(
+                (
+                    np.asarray(self._tail_rater[lo:], dtype=np.int32),
+                    np.asarray(self._tail_target[lo:], dtype=np.int32),
+                    np.asarray(self._tail_facet[lo:], dtype=np.int32),
+                    np.asarray(self._tail_value[lo:], dtype=np.float64),
+                    np.asarray(self._tail_time[lo:], dtype=self.time_dtype),
+                )
+            )
+        if not parts:
+            return ColumnSet(
                 _EMPTY_I4,
                 _EMPTY_I4,
                 _EMPTY_I4,
                 _EMPTY_F8,
                 _EMPTY_I8 if self._time_is_int else _EMPTY_F8,
             )
-        else:
-            parts: List[Tuple[np.ndarray, ...]] = [
-                (c.rater, c.target, c.facet, c.value, c.time)
-                for c in chunks
-            ]
-            if tail_n:
-                parts.append(
-                    (
-                        np.asarray(self._tail_rater, dtype=np.int32),
-                        np.asarray(self._tail_target, dtype=np.int32),
-                        np.asarray(self._tail_facet, dtype=np.int32),
-                        np.asarray(self._tail_value, dtype=np.float64),
-                        np.asarray(self._tail_time, dtype=self.time_dtype),
-                    )
-                )
-            if len(parts) == 1:
-                columns = ColumnSet(*parts[0])
-            else:
-                columns = ColumnSet(
-                    *(
-                        np.concatenate([p[i] for p in parts])
-                        for i in range(5)
-                    )
-                )
-        self._snapshot = (version, columns)
-        return columns
+        if len(parts) == 1:
+            return ColumnSet(*parts[0])
+        return ColumnSet(
+            *(np.concatenate([p[i] for p in parts]) for i in range(5))
+        )
 
     def iter_rows(
         self, start: int = 0
@@ -636,7 +671,7 @@ class EventStore:
         stores' tables laid end to end) and ids are interned exactly as
         :meth:`extend` would intern ``names[raters]`` / ``names[targets]``.
         """
-        if not len(values):
+        if not _check_lengths(raters, targets, values, times):
             return
         self._append_coded(
             tuple(names),

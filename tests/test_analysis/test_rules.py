@@ -252,6 +252,17 @@ class TestR007ColumnarLoops:
             for f in findings_for(rule_findings("R007"), "R007")
         )
 
+    def test_fires_on_delta_column_loops(self, rule_findings):
+        """``columns_since`` returns a ColumnSet like ``snapshot()``, so
+        a per-row loop over an incremental delta is the same hazard."""
+        hits = findings_for(
+            rule_findings("R007"), "R007", "models/delta_columns.py"
+        )
+        lines = {f.content.split("#")[0].strip() for f in hits}
+        assert "for v in delta.value:" in lines
+        assert any("zip(delta.rater, delta.target)" in l for l in lines)
+        assert len(hits) == 2
+
 
 class TestR008ShardDeltaOrder:
     def test_fires_on_set_ordered_merges(self, rule_findings):
@@ -407,7 +418,9 @@ class TestR010FrozenViewMutation:
         assert "_relay(snap.value)" in via[0].content
 
     def test_copies_and_masks_pass(self, rule_findings):
-        hits = findings_for(rule_findings("R010"), "R010")
+        hits = findings_for(
+            rule_findings("R010"), "R010", "sim/frozen_abuse.py"
+        )
         assert len(hits) == 5
         contents = " ".join(f.content for f in hits)
         assert "mine.sort()" not in contents
@@ -416,6 +429,17 @@ class TestR010FrozenViewMutation:
     def test_suppression_comment_silences(self, rule_findings):
         hits = findings_for(rule_findings("R010"), "R010")
         assert not any("disable=R010" in f.content for f in hits)
+
+    def test_delta_view_mutation_hits(self, rule_findings):
+        """``columns_since`` hands out views of sealed chunks: writing
+        through one corrupts the store; folding or masking it is fine."""
+        hits = findings_for(
+            rule_findings("R010"), "R010", "sim/delta_abuse.py"
+        )
+        contents = {f.content for f in hits}
+        assert "delta.value[0] = 1.0" in contents
+        assert "delta.target.sort()" in contents
+        assert len(hits) == 2
 
 
 class TestR011SwallowedExceptions:

@@ -3,7 +3,10 @@
 Every EventStore write path — ``append`` (scalar), ``extend``,
 ``extend_coded`` and ``merge_from`` (vectorized) — rejects a NaN, infinite or out-of-[0, 1]
 rating and a non-finite time with :class:`InvalidEventError`, and
-leaves the store untouched.  Out-of-order times stay legal.
+leaves the store untouched.  Out-of-order times stay legal.  The
+column-wise paths (``extend``, ``extend_coded`` and a model's
+``record_columns``) also reject parallel columns of unequal length
+before interning anything.
 """
 
 from __future__ import annotations
@@ -16,10 +19,25 @@ import pytest
 
 from repro.common.errors import InvalidEventError, ReproError
 from repro.experiments.sharded import ShardRuntime, ShardedRunSpec
+from repro.models.beta import BetaReputation
 from repro.store import EventStore
 
 BAD_RATINGS = [math.nan, math.inf, -math.inf, -0.01, 1.01]
 BAD_TIMES = [math.nan, math.inf, -math.inf]
+
+#: (raters, targets, values, times) with one column out of step
+RAGGED = [
+    (["a", "b"], ["t", "u"], [0.1], [0.0]),
+    (["a"], ["t", "u"], [0.1], [0.0]),
+    (["a"], ["t"], [0.1], [0.0, 1.0]),
+    (["a", "b"], ["t", "u"], [], []),
+]
+
+
+def _seeded_store() -> EventStore:
+    store = EventStore()
+    store.extend(["x", "y"], ["t", "t"], [0.2, 0.8], [0.0, 1.0])
+    return store
 
 
 def test_error_is_typed():
@@ -74,6 +92,16 @@ class TestExtend:
         assert not store.times_monotonic
 
 
+    @pytest.mark.parametrize("columns", RAGGED)
+    def test_rejects_ragged_columns(self, columns):
+        store = _seeded_store()
+        before = store.canonical_bytes()
+        with pytest.raises(InvalidEventError, match="column lengths"):
+            store.extend(*columns)
+        assert store.canonical_bytes() == before
+        assert store.entities.values() == ("x", "t", "y")
+
+
 class TestMergeFrom:
     def test_rejects_pickled_shard_delta_carrying_nan(self):
         spec = ShardedRunSpec(
@@ -126,3 +154,33 @@ class TestExtendCoded:
         with pytest.raises(InvalidEventError):
             store.extend_coded(["a", "t"], [0], [1], [math.nan], [0.0])
         assert len(store) == 0
+
+    @pytest.mark.parametrize("columns", RAGGED)
+    def test_rejects_ragged_columns(self, columns):
+        raters, targets, values, times = columns
+        names = ["a", "b", "t", "u"]
+        store = _seeded_store()
+        before = store.canonical_bytes()
+        with pytest.raises(InvalidEventError, match="column lengths"):
+            store.extend_coded(
+                names,
+                np.array([names.index(r) for r in raters]),
+                np.array([names.index(t) for t in targets]),
+                np.array(values, dtype=np.float64),
+                np.array(times, dtype=np.float64),
+            )
+        assert store.canonical_bytes() == before
+        assert store.entities.values() == ("x", "t", "y")
+
+
+class TestRecordColumns:
+    @pytest.mark.parametrize("columns", RAGGED)
+    def test_rejects_ragged_columns(self, columns):
+        model = BetaReputation()
+        model.record_columns(["x", "y"], ["t", "t"], [0.2, 0.8], [0.0, 1.0])
+        scores = model.score_many(["t", "u"])
+        before = model._store.canonical_bytes()
+        with pytest.raises(InvalidEventError, match="column lengths"):
+            model.record_columns(*columns)
+        assert model._store.canonical_bytes() == before
+        assert model.score_many(["t", "u"]) == scores
