@@ -268,8 +268,8 @@ class PicklableWorldBuilderRule(Rule):
     rule_id = "R005"
     title = "registered world builders must be module-level functions"
 
-    #: registration entry points sharing the pickling contract: the
-    #: per-trial table (parallel) and the per-shard table (sharded).
+    #: names of the one world-builder registry's entry point: the
+    #: parallel runtime's, and the alias the sharded runner exports.
     _TARGETS = ("register_world_builder", "register_shard_world_builder")
 
     def check(

@@ -31,10 +31,10 @@ from repro.experiments.parallel import (
     jobs_from_env,
     parallel_map,
     register_world_builder,
-    run_replications,
-    run_sweep,
+    replication_specs,
     run_trial,
     run_trials,
+    sweep_specs,
 )
 from repro.experiments.chaos import (
     ChaosConfig,
@@ -60,15 +60,15 @@ __all__ = [
     "parallel_map",
     "ranking_quality",
     "register_world_builder",
+    "replication_specs",
     "run_chaos_comparison",
     "run_chaos_deployment",
-    "run_replications",
     "run_selection_experiment",
-    "run_sweep",
     "run_trial",
     "run_trials",
     "score_mae",
     "spearman_rho",
+    "sweep_specs",
     "top_k_precision",
     "uniform_preferences",
 ]

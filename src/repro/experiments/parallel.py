@@ -25,6 +25,12 @@ Three design rules enforce it:
 ``max_workers=1`` (the default) runs a plain in-process loop — the
 zero-dependency fallback — as does any batch whose function or items
 fail a pickling pre-check (e.g. world params closing over lambdas).
+
+This module also owns what the sharded single-world runner
+(:mod:`repro.experiments.sharded`) shares with trials: the one
+world-builder registry (trial and shard builders side by side), the
+:func:`picklable` pre-check behind both serial fallbacks, and the
+``ProcessPoolExecutor`` substrate both process modes run on.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from repro.experiments.harness import (
     SelectionOutcome,
     run_selection_experiment,
 )
-from repro.experiments.workloads import World, make_world
+from repro.experiments.workloads import World, make_shard_world, make_world
 from repro.obs.recorder import Recorder, use_recorder
 from repro.obs.trace import TelemetrySnapshot
 from repro.robustness import attacks as _attacks
@@ -71,20 +77,27 @@ JOBS_ENV = "REPRO_JOBS"
 # ---------------------------------------------------------------------------
 
 DEFAULT_WORLD = "make_world"
+DEFAULT_SHARD_WORLD = "make_shard_world"
 
 _WORLD_BUILDERS: Dict[str, Callable[..., World]] = {
     DEFAULT_WORLD: make_world,
+    DEFAULT_SHARD_WORLD: make_shard_world,
 }
 
 
 def register_world_builder(
     name: str, builder: Callable[..., World], overwrite: bool = False
 ) -> None:
-    """Register *builder* under *name* for use in :class:`TrialSpec`.
+    """Register *builder* under *name* for :class:`TrialSpec` and
+    :class:`~repro.experiments.sharded.ShardedRunSpec`.
 
     Builders must accept ``seed=<int>`` plus the spec's ``world_params``
-    as keyword arguments and return a fresh :class:`World`.  Register
-    at module import time so forked/spawned workers see the same table.
+    as keyword arguments and return a fresh :class:`World`.  Builders a
+    sharded run names also receive ``consumer_indices=<list>`` and must
+    build only those consumers, with a catalogue that does not depend
+    on which consumers are built (see :func:`make_shard_world`).
+    Register at module import time so forked/spawned workers see the
+    same table.
     """
     if not overwrite and name in _WORLD_BUILDERS:
         raise ConfigurationError(f"duplicate world builder: {name!r}")
@@ -278,6 +291,8 @@ def jobs_from_env(default: int = 1) -> int:
         raise ConfigurationError(
             f"{JOBS_ENV} must be an integer or 'auto', got {raw!r}"
         ) from None
+    if value < 0:
+        raise ConfigurationError(f"{JOBS_ENV} must be >= 0, got {raw!r}")
     return max(1, value)
 
 
@@ -294,10 +309,6 @@ def picklable(*objects: Any) -> bool:
     except Exception:
         return False
     return True
-
-
-#: Backwards-compatible private alias (pre-sharding name).
-_picklable = picklable
 
 
 def default_chunksize(n_items: int, workers: int) -> int:
@@ -322,7 +333,7 @@ def parallel_map(
     """
     items = list(items)
     workers = min(int(max_workers), len(items))
-    if workers <= 1 or not _picklable(fn, items):
+    if workers <= 1 or not picklable(fn, items):
         return [fn(item) for item in items]
     if chunksize is None:
         chunksize = default_chunksize(len(items), workers)
@@ -389,7 +400,7 @@ def run_trials(
     """
     specs = list(specs)
     workers = min(int(max_workers), len(specs))
-    pooled = workers > 1 and _picklable(run_trial, specs)
+    pooled = workers > 1 and picklable(run_trial, specs)
     if chunksize is None:
         chunksize = default_chunksize(len(specs), max(1, workers))
     start = time.perf_counter_ns()
@@ -409,7 +420,7 @@ def run_trials(
 
 
 # ---------------------------------------------------------------------------
-# Helpers layered on run_selection_experiment
+# Spec builders (run them with run_trials)
 # ---------------------------------------------------------------------------
 
 
@@ -446,34 +457,6 @@ def replication_specs(
         )
         for i in range(replications)
     ]
-
-
-def run_replications(
-    model: str,
-    replications: int,
-    base_seed: int = 0,
-    rounds: int = 30,
-    world: str = DEFAULT_WORLD,
-    world_params: Optional[Mapping[str, Any]] = None,
-    attack: Optional[AttackSpec] = None,
-    rate_providers: bool = False,
-    max_workers: int = 1,
-    chunksize: Optional[int] = None,
-    telemetry: bool = False,
-) -> TrialRunReport:
-    """Fan *replications* seeded trials of *model* across the pool."""
-    specs = replication_specs(
-        model,
-        replications,
-        base_seed=base_seed,
-        rounds=rounds,
-        world=world,
-        world_params=world_params,
-        attack=attack,
-        rate_providers=rate_providers,
-        telemetry=telemetry,
-    )
-    return run_trials(specs, max_workers=max_workers, chunksize=chunksize)
 
 
 def sweep_specs(
@@ -521,38 +504,6 @@ def sweep_specs(
                     )
                 )
     return specs
-
-
-def run_sweep(
-    models: Sequence[str],
-    param: str,
-    values: Sequence[Any],
-    replications: int = 1,
-    base_seed: int = 0,
-    rounds: int = 30,
-    world: str = DEFAULT_WORLD,
-    world_params: Optional[Mapping[str, Any]] = None,
-    attack: Optional[AttackSpec] = None,
-    rate_providers: bool = False,
-    max_workers: int = 1,
-    chunksize: Optional[int] = None,
-    telemetry: bool = False,
-) -> TrialRunReport:
-    """Sweep a world parameter across models, fanned out over the pool."""
-    specs = sweep_specs(
-        models,
-        param,
-        values,
-        replications=replications,
-        base_seed=base_seed,
-        rounds=rounds,
-        world=world,
-        world_params=world_params,
-        attack=attack,
-        rate_providers=rate_providers,
-        telemetry=telemetry,
-    )
-    return run_trials(specs, max_workers=max_workers, chunksize=chunksize)
 
 
 def group_sweep(

@@ -53,49 +53,54 @@ counters, the coordinator's Figure-2 ledger) never mentions the shard
 count, while everything N-dependent — per-shard loads, cross-shard
 feedback traffic, exchange-protocol messages, wall time — lives in the
 separate :class:`ShardDispatchReport`.
+
+Process mode runs on the trial pool's substrate: each shard gets its
+own single-worker ``ProcessPoolExecutor``, so its :class:`ShardRuntime`
+lives in one process for the whole run, and one epoch loop drives
+either those pools or in-process runtimes.  World builders come from
+the one registry in :mod:`repro.experiments.parallel`
+(``register_shard_world_builder`` is the same function as
+``register_world_builder``).
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import math
 import time as _time
 import traceback
+from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
-    Tuple,
 )
 
 import numpy as np
 
-from repro.common.errors import (
-    ConfigurationError,
-    ReproError,
-    UnknownEntityError,
-)
+from repro.common.errors import ConfigurationError, ReproError
 from repro.common.ids import EntityId
 from repro.common.simtime import times_array, to_ticks
 from repro.core.scenarios import ScenarioResult
-from repro.experiments.parallel import picklable
-from repro.experiments.rounds import ConsumerBlock, catalog_at, run_round
-from repro.experiments.workloads import (
-    World,
-    consumer_draw_key,
-    make_shard_world,
-    shard_consumer_id,
+from repro.experiments.parallel import (
+    DEFAULT_SHARD_WORLD,
+    picklable,
+    register_world_builder,
+    world_builder,
 )
+from repro.experiments.rounds import ConsumerBlock, catalog_at, run_round
+from repro.experiments.workloads import consumer_draw_key, shard_consumer_id
 from repro.obs.ledger import ActivityLedger, merged_ledger_table
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import Recorder
 from repro.obs.trace import TelemetrySnapshot
 from repro.p2p.hashing import stable_hash
-from repro.sim.kernel import Simulator
 from repro.sim.network import MessageStats, Network, stats_from_snapshot
 from repro.store import EventStore
 
@@ -152,41 +157,9 @@ def shard_partition(n_consumers: int, shards: int) -> List[List[int]]:
     return owned
 
 
-# ---------------------------------------------------------------------------
-# Shard-world-builder registry
-# ---------------------------------------------------------------------------
-
-DEFAULT_SHARD_WORLD = "make_shard_world"
-
-_SHARD_WORLD_BUILDERS: Dict[str, Callable[..., World]] = {
-    DEFAULT_SHARD_WORLD: make_shard_world,
-}
-
-
-def register_shard_world_builder(
-    name: str, builder: Callable[..., World], overwrite: bool = False
-) -> None:
-    """Register *builder* under *name* for use in :class:`ShardedRunSpec`.
-
-    Builders must accept ``seed=<int>``, ``consumer_indices=<list>``
-    plus the spec's ``world_params`` as keyword arguments and build
-    only the requested consumers (the catalog side must not depend on
-    which consumers are built — see :func:`make_shard_world`).
-    Register at module import time so forked workers see the same
-    table.
-    """
-    if not overwrite and name in _SHARD_WORLD_BUILDERS:
-        raise ConfigurationError(f"duplicate shard world builder: {name!r}")
-    _SHARD_WORLD_BUILDERS[name] = builder
-
-
-def shard_world_builder(name: str) -> Callable[..., World]:
-    try:
-        return _SHARD_WORLD_BUILDERS[name]
-    except KeyError:
-        raise UnknownEntityError(
-            f"unknown shard world builder: {name!r}"
-        ) from None
+#: The one world-builder registry, under the names shard callers use.
+register_shard_world_builder = register_world_builder
+shard_world_builder = world_builder
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +195,18 @@ class ShardedRunSpec:
             raise ConfigurationError(
                 f"rounds_per_epoch must be >= 1: {self.rounds_per_epoch}"
             )
-        if self.round_length <= 0:
+        if not (math.isfinite(self.round_length) and self.round_length > 0):
             raise ConfigurationError(
-                f"round_length must be positive: {self.round_length}"
+                f"round_length must be finite and positive: {self.round_length}"
             )
         if not 0.0 <= self.epsilon <= 1.0:
             raise ConfigurationError(
                 f"epsilon must be in [0, 1]: {self.epsilon}"
+            )
+        if not self.optimality_tolerance >= 0.0:
+            raise ConfigurationError(
+                "optimality_tolerance must be >= 0: "
+                f"{self.optimality_tolerance}"
             )
 
     @property
@@ -321,7 +299,7 @@ class ShardedRunReport:
 
 
 class ShardRuntime:
-    """Runs one shard's consumers on a private sim kernel.
+    """Runs one shard's consumers: the *owned* slice of :func:`shard_partition`.
 
     Selection follows the harness's epsilon-greedy discipline against
     the scores frozen at the epoch start; accuracy/regret accounting
@@ -336,7 +314,7 @@ class ShardRuntime:
         spec: ShardedRunSpec,
         shard_index: int,
         n_shards: int,
-        owned: Optional[Sequence[int]] = None,
+        owned: Sequence[int],
     ) -> None:
         if not 0 <= shard_index < n_shards:
             raise ConfigurationError(
@@ -345,16 +323,10 @@ class ShardRuntime:
         self.spec = spec
         self.shard = shard_index
         self.n_shards = n_shards
-        builder = shard_world_builder(spec.world)
+        builder = world_builder(spec.world)
         params = dict(spec.world_params)
         n_consumers = int(params.pop("n_consumers", 20))
-        #: this shard's consumer indices; *owned* passes in a slice of
-        #: :func:`shard_partition` the caller already computed
-        self.owned = list(
-            shard_partition(n_consumers, n_shards)[shard_index]
-            if owned is None
-            else owned
-        )
+        self.owned = list(owned)
         self.world = builder(
             seed=spec.seed,
             n_consumers=n_consumers,
@@ -389,7 +361,6 @@ class ShardRuntime:
             [shard_of(sid, n_shards) for sid in self.service_ids],
             dtype=np.int64,
         )
-        self.sim = Simulator(start=0.0)
         # Shard-local accounting: one registry carries both the net.*
         # traffic counters and the fig2.* ledger, snapshotted once at
         # the end and merged by the coordinator.  Registering every
@@ -433,10 +404,7 @@ class ShardRuntime:
                 key=lambda j: (scores[j], self.service_ids[j]),
             )
         epoch_start = spec.epoch_start(epoch)
-        state = {"round": 0}
-
-        def fire_round() -> None:
-            r_local = state["round"]
+        for r_local in range(n_rounds if n_own else 0):
             t = epoch_start + r_local * spec.round_length
             catalog = catalog_at(
                 self._services, self._metrics, self._segments, t
@@ -464,19 +432,9 @@ class ShardRuntime:
                 [rows.regret for rows in parts]
             )
             accurate[r_local] = sum(int(rows.accurate.sum()) for rows in parts)
-            home_counts[:] += np.bincount(
+            home_counts += np.bincount(
                 self._service_home[choice], minlength=self.n_shards
             )
-            state["round"] = r_local + 1
-
-        if n_own:
-            self.sim.schedule_every(
-                spec.round_length,
-                fire_round,
-                start=epoch_start,
-                count=n_rounds,
-            )
-            self.sim.run(until=epoch_start + n_rounds * spec.round_length)
         if len(store) != len(regrets):
             raise ConfigurationError(
                 f"shard {self.shard} produced {len(store)} rows, "
@@ -526,7 +484,7 @@ class _Coordinator:
         # consumers but the identical provider/service side.
         params = dict(spec.world_params)
         params["consumer_indices"] = []
-        world = shard_world_builder(spec.world)(seed=spec.seed, **params)
+        world = world_builder(spec.world)(seed=spec.seed, **params)
         self.service_ids: List[EntityId] = [
             svc.service_id for svc in world.services
         ]
@@ -714,7 +672,7 @@ class _Coordinator:
 
 
 # ---------------------------------------------------------------------------
-# Worker protocol
+# Shard dispatch
 # ---------------------------------------------------------------------------
 
 
@@ -731,51 +689,78 @@ class ShardWorkerError(ReproError):
         self.worker_traceback = worker_traceback
 
 
-def _worker_main(
-    conn: Any, spec: ShardedRunSpec, shard_index: int, n_shards: int
+#: The runtime a pool worker hosts.  Each shard has a single-worker
+#: pool, so this process holds exactly one shard for the whole run.
+_hosted: List[ShardRuntime] = []
+
+
+def _host_shard(
+    spec: ShardedRunSpec, shard: int, shards: int, owned: List[int]
 ) -> None:
-    """One shard process: build once, then serve epochs over the pipe."""
-    try:
-        runtime = ShardRuntime(spec, shard_index, n_shards)
-        conn.send(("ready", len(runtime.owned)))
-        while True:
-            try:
-                message = conn.recv()
-            except EOFError:
-                return  # the coordinator closed its end: nothing to serve
-            command = message[0]
-            if command == "epoch":
-                conn.send(("delta", runtime.run_epoch(message[1], message[2])))
-            elif command == "stats":
-                conn.send(("stats", runtime.finalize()))
-            elif command == "stop":
-                return
-            else:
-                raise ConfigurationError(f"unknown command: {command!r}")
-    except BaseException:
-        # Forward the failure, then die with it.  If the pipe is gone
-        # too, the send raises instead; either way the coordinator
-        # raises ShardWorkerError (from the message, or from the EOF).
-        conn.send(("error", traceback.format_exc()))
-        raise
-    finally:
-        conn.close()
+    _hosted[:] = [ShardRuntime(spec, shard, shards, owned)]
 
 
-def _expect(conn: Any, shard: int, tag: str) -> Any:
+def _call_hosted(method: str, *args: Any) -> Any:
+    return getattr(_hosted[0], method)(*args)
+
+
+def _gather(futures: Sequence[Future]) -> List[Any]:
+    """Results in shard order; a failed shard raises :class:`ShardWorkerError`.
+
+    A worker exception comes back re-raised with the remote traceback
+    as its ``__cause__``; a worker that died outright breaks its pool,
+    and the local ``BrokenProcessPool`` traceback says so.
+    """
+    results = []
+    for shard, future in enumerate(futures):
+        try:
+            results.append(future.result())
+        except Exception as exc:
+            # concurrent.futures quotes the remote traceback text.
+            remote = exc.__cause__
+            text = (
+                str(remote).removeprefix('\n"""\n').removesuffix('"""')
+                if remote is not None
+                else "".join(
+                    traceback.format_exception(type(exc), exc, exc.__traceback__)
+                )
+            )
+            raise ShardWorkerError(shard, text) from exc
+    return results
+
+
+@contextmanager
+def _shard_calls(
+    spec: ShardedRunSpec, partition: List[List[int]], pooled: bool
+) -> Iterator[Callable[..., List[Any]]]:
+    """Yield ``call(method, *args)``: that :class:`ShardRuntime` method
+    run on every shard, results in shard order.
+
+    Serial mode calls in-process runtimes directly; process mode
+    submits the call to each shard's single-worker pool.
+    """
+    shards = len(partition)
+    if not pooled:
+        runtimes = [
+            ShardRuntime(spec, s, shards, owned)
+            for s, owned in enumerate(partition)
+        ]
+        yield lambda method, *args: [
+            getattr(runtime, method)(*args) for runtime in runtimes
+        ]
+        return
+    pools = [ProcessPoolExecutor(max_workers=1) for _ in partition]
     try:
-        message = conn.recv()
-    except EOFError:
-        raise ShardWorkerError(
-            shard, "worker exited without replying (pipe closed)"
-        ) from None
-    if message[0] == "error":
-        raise ShardWorkerError(shard, message[1])
-    if message[0] != tag:
-        raise ShardWorkerError(
-            shard, f"protocol error: expected {tag!r}, got {message[0]!r}"
+        _gather([
+            pool.submit(_host_shard, spec, s, shards, owned)
+            for s, (pool, owned) in enumerate(zip(pools, partition))
+        ])
+        yield lambda method, *args: _gather(
+            [pool.submit(_call_hosted, method, *args) for pool in pools]
         )
-    return message[1]
+    finally:
+        for pool in pools:
+            pool.shutdown(cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +789,7 @@ def run_sharded_experiment(
         raise ConfigurationError(f"shards must be >= 1, got {shards}")
     if mode not in (None, SERIAL, PROCESS):
         raise ConfigurationError(f"unknown mode: {mode!r}")
-    builder = shard_world_builder(spec.world)
+    builder = world_builder(spec.world)
     can_pickle = picklable(spec, builder)
     if mode == PROCESS and not can_pickle:
         raise ConfigurationError(
@@ -814,82 +799,16 @@ def run_sharded_experiment(
     use_pool = shards > 1 and mode != SERIAL and can_pickle
     coordinator = _Coordinator(spec, shards)
     start_ns = _time.perf_counter_ns()
-    if use_pool:
-        consumers_per_shard, shard_snapshots = _run_process(
-            spec, shards, coordinator
-        )
-        mode_used = PROCESS
-    else:
-        consumers_per_shard, shard_snapshots = _run_serial(
-            spec, shards, coordinator
-        )
-        mode_used = SERIAL
-    wall_ns = _time.perf_counter_ns() - start_ns
-    return coordinator.finish(
-        mode_used, consumers_per_shard, shard_snapshots, wall_ns
-    )
-
-
-def _run_serial(
-    spec: ShardedRunSpec, shards: int, coordinator: _Coordinator
-) -> Tuple[List[int], List[Dict[str, Any]]]:
     partition = shard_partition(spec.n_consumers, shards)
-    runtimes = [
-        ShardRuntime(spec, s, shards, owned=partition[s]) for s in range(shards)
-    ]
-    for epoch in range(spec.epochs):
-        scores = coordinator.epoch_scores(epoch)
-        deltas = [runtime.run_epoch(epoch, scores) for runtime in runtimes]
-        coordinator.apply(epoch, deltas)
-    return (
-        [len(runtime.owned) for runtime in runtimes],
-        [runtime.finalize() for runtime in runtimes],
-    )
-
-
-def _run_process(
-    spec: ShardedRunSpec, shards: int, coordinator: _Coordinator
-) -> Tuple[List[int], List[Dict[str, Any]]]:
-    processes: List[mp.Process] = []
-    conns: List[Any] = []
-    try:
-        for s in range(shards):
-            parent, child = mp.Pipe()
-            process = mp.Process(
-                target=_worker_main,
-                args=(child, spec, s, shards),
-                daemon=True,
-            )
-            process.start()
-            child.close()
-            processes.append(process)
-            conns.append(parent)
-        consumers_per_shard = [
-            _expect(conn, s, "ready") for s, conn in enumerate(conns)
-        ]
+    with _shard_calls(spec, partition, use_pool) as call:
         for epoch in range(spec.epochs):
             scores = coordinator.epoch_scores(epoch)
-            for conn in conns:
-                conn.send(("epoch", epoch, scores))
-            # Receiving in shard order is deadlock-free: every worker
-            # computes independently and blocks only on its own pipe.
-            deltas = [
-                _expect(conn, s, "delta") for s, conn in enumerate(conns)
-            ]
-            coordinator.apply(epoch, deltas)
-        for conn in conns:
-            conn.send(("stats",))
-        shard_snapshots = [
-            _expect(conn, s, "stats") for s, conn in enumerate(conns)
-        ]
-        for conn in conns:
-            conn.send(("stop",))
-        return consumers_per_shard, shard_snapshots
-    finally:
-        for conn in conns:
-            conn.close()
-        for process in processes:
-            process.join(timeout=30)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=5)
+            coordinator.apply(epoch, call("run_epoch", epoch, scores))
+        shard_snapshots = call("finalize")
+    wall_ns = _time.perf_counter_ns() - start_ns
+    return coordinator.finish(
+        PROCESS if use_pool else SERIAL,
+        [len(owned) for owned in partition],
+        shard_snapshots,
+        wall_ns,
+    )

@@ -30,8 +30,6 @@ from repro.experiments.parallel import (
     parallel_map,
     register_world_builder,
     replication_specs,
-    run_replications,
-    run_sweep,
     run_trial,
     run_trials,
     sweep_specs,
@@ -53,6 +51,17 @@ def _lenient_builder(seed=0, _probe=None, **kwargs):
 
 
 register_world_builder("lenient-test-world", _lenient_builder, overwrite=True)
+
+
+class BuilderFailed(Exception):
+    pass
+
+
+def _failing_builder(seed=0, **kwargs):
+    raise BuilderFailed(f"world {seed} refused to build")
+
+
+register_world_builder("failing-test-world", _failing_builder, overwrite=True)
 
 
 def assert_outcomes_equal(lhs, rhs, tol: float = 1e-12) -> None:
@@ -128,22 +137,15 @@ class TestDeterminism:
     def test_pool_equals_serial_equals_sequential(
         self, base_seed, replications, model
     ):
-        pooled = run_replications(
+        specs = replication_specs(
             model,
             replications,
             base_seed=base_seed,
             rounds=4,
             world_params=SMALL_WORLD,
-            max_workers=4,
         )
-        serial = run_replications(
-            model,
-            replications,
-            base_seed=base_seed,
-            rounds=4,
-            world_params=SMALL_WORLD,
-            max_workers=1,
-        )
+        pooled = run_trials(specs, max_workers=4)
+        serial = run_trials(specs, max_workers=1)
         assert serial.mode == SERIAL
         assert pooled.mode == PROCESS_POOL
         # n bare sequential run_selection_experiment calls, no pool
@@ -180,11 +182,13 @@ class TestDeterminism:
         kwargs = dict(
             base_seed=9, rounds=5, world_params=SMALL_WORLD, attack=attack
         )
-        pooled = run_replications("beta", 3, max_workers=2, **kwargs)
-        serial = run_replications("beta", 3, max_workers=1, **kwargs)
+        pooled = run_trials(replication_specs("beta", 3, **kwargs), max_workers=2)
+        serial = run_trials(replication_specs("beta", 3, **kwargs), max_workers=1)
         assert_outcomes_equal(pooled.outcomes, serial.outcomes)
-        honest = run_replications(
-            "beta", 3, base_seed=9, rounds=5, world_params=SMALL_WORLD
+        honest = run_trials(
+            replication_specs(
+                "beta", 3, base_seed=9, rounds=5, world_params=SMALL_WORLD
+            )
         )
         assert [o.final_scores for o in pooled.outcomes] != [
             o.final_scores for o in honest.outcomes
@@ -245,6 +249,16 @@ class TestPool:
         assert clean.mode == PROCESS_POOL
         assert_outcomes_equal(report.outcomes, clean.outcomes)
 
+    def test_pooled_builder_error_surfaces_like_serial(self):
+        specs = [
+            TrialSpec(model="beta", seed=seed, rounds=2, world="failing-test-world")
+            for seed in (1, 2)
+        ]
+        with pytest.raises(BuilderFailed, match="refused to build"):
+            run_trials(specs, max_workers=1)
+        with pytest.raises(BuilderFailed, match="refused to build"):
+            run_trials(specs, max_workers=2)
+
     def test_single_item_runs_in_process(self):
         specs = replication_specs(
             "beta", 1, base_seed=8, rounds=2, world_params=SMALL_WORLD
@@ -253,14 +267,16 @@ class TestPool:
         assert report.mode == SERIAL  # nothing to fan out
 
     def test_run_sweep_and_grouping(self):
-        report = run_sweep(
-            ["beta"],
-            "n_consumers",
-            [4, 6],
-            replications=2,
-            base_seed=13,
-            rounds=3,
-            world_params=dict(n_providers=3, services_per_provider=1),
+        report = run_trials(
+            sweep_specs(
+                ["beta"],
+                "n_consumers",
+                [4, 6],
+                replications=2,
+                base_seed=13,
+                rounds=3,
+                world_params=dict(n_providers=3, services_per_provider=1),
+            ),
             max_workers=2,
         )
         grouped = group_sweep(report, "n_consumers")
@@ -290,6 +306,7 @@ class TestJobsFromEnv:
         assert jobs_from_env() == max(1, os.cpu_count() or 1)
 
     def test_garbage_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ConfigurationError):
-            jobs_from_env()
+        for raw in ("many", "-4"):
+            monkeypatch.setenv("REPRO_JOBS", raw)
+            with pytest.raises(ConfigurationError):
+                jobs_from_env()

@@ -308,7 +308,7 @@ class TestHonestOnly:
             world_params=dict(n_providers=2, n_consumers=5),
         )
         with pytest.raises(ConfigurationError, match="honest_rating_strategy"):
-            ShardRuntime(spec, 0, 1)
+            ShardRuntime(spec, 0, 1, range(spec.n_consumers))
 
     def test_block_rejects_non_honest_consumer(self):
         built = badmouthing_shard_world(seed=1, n_consumers=3)

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
+import signal
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.experiments.sharded import (
     register_shard_world_builder,
     run_sharded_experiment,
     shard_of,
+    shard_partition,
 )
 from repro.experiments.workloads import (
     make_shard_world,
@@ -57,6 +60,18 @@ def exploding_shard_world(seed, consumer_indices=None, **params):
 
 register_shard_world_builder(
     "test-exploding-shard-world", exploding_shard_world, overwrite=True
+)
+
+
+def dying_shard_world(seed, consumer_indices=None, **params):
+    """Builds the catalogue, but kills any worker process that owns consumers."""
+    if consumer_indices:
+        os._exit(3)
+    return make_shard_world(seed=seed, consumer_indices=consumer_indices, **params)
+
+
+register_shard_world_builder(
+    "test-dying-shard-world", dying_shard_world, overwrite=True
 )
 
 
@@ -100,8 +115,9 @@ class TestShardCountInvariance:
                 ),
                 s,
                 shards,
+                owned,
             ).owned
-            for s in range(shards)
+            for s, owned in enumerate(shard_partition(n_consumers, shards))
         ]
         flat = sorted(i for owned in runtime_owned for i in owned)
         assert flat == list(range(n_consumers))
@@ -142,6 +158,26 @@ class TestProcessMode:
         assert "exploded on purpose" in error.worker_traceback
         assert "exploding_shard_world" in error.worker_traceback
         assert error.worker_traceback in str(error)
+
+    def test_hard_worker_death_raises_promptly(self):
+        # A worker that dies without raising leaves no traceback to
+        # forward; the coordinator must still fail typed, not hang.
+        def hung(signum, frame):
+            raise AssertionError("coordinator hung on a dead shard worker")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            with pytest.raises(ShardWorkerError) as info:
+                run_sharded_experiment(
+                    _spec(5, world="test-dying-shard-world"),
+                    shards=2,
+                    mode=PROCESS,
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert info.value.shard == 0
 
     def test_unpicklable_builder_falls_back_to_serial(self):
         register_shard_world_builder(
@@ -208,6 +244,12 @@ class TestSpecValidation:
             ShardedRunSpec(rounds_per_epoch=0)
         with pytest.raises(ConfigurationError):
             ShardedRunSpec(epsilon=1.5)
+        for round_length in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                ShardedRunSpec(round_length=round_length)
+        for tolerance in (-0.01, float("nan")):
+            with pytest.raises(ConfigurationError):
+                ShardedRunSpec(optimality_tolerance=tolerance)
         with pytest.raises(ConfigurationError):
             run_sharded_experiment(ShardedRunSpec(), shards=0)
         with pytest.raises(ConfigurationError):

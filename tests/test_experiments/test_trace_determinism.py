@@ -18,7 +18,6 @@ from repro.experiments.parallel import (
     PROCESS_POOL,
     SERIAL,
     replication_specs,
-    run_replications,
     run_trial,
     run_trials,
 )
@@ -50,11 +49,11 @@ class TestByteIdenticalTraces:
             world_params=SMALL_WORLD,
             telemetry=True,
         )
-        pooled = run_replications(
-            model, replications, max_workers=4, **kwargs
+        pooled = run_trials(
+            replication_specs(model, replications, **kwargs), max_workers=4
         )
-        serial = run_replications(
-            model, replications, max_workers=1, **kwargs
+        serial = run_trials(
+            replication_specs(model, replications, **kwargs), max_workers=1
         )
         assert pooled.mode == PROCESS_POOL
         assert serial.mode == SERIAL
@@ -91,30 +90,33 @@ class TestByteIdenticalTraces:
             rounds=3,
             world_params=SMALL_WORLD,
             telemetry=True,
-            max_workers=2,
         )
-        first = run_replications("beta", 3, **kwargs)
-        second = run_replications("beta", 3, **kwargs)
+        first = run_trials(replication_specs("beta", 3, **kwargs), max_workers=2)
+        second = run_trials(replication_specs("beta", 3, **kwargs), max_workers=2)
         assert export_bytes(first) == export_bytes(second)
 
 
 class TestTelemetryPlumbing:
     def test_telemetry_off_by_default(self):
-        report = run_replications(
-            "beta", 2, base_seed=1, rounds=2, world_params=SMALL_WORLD
+        report = run_trials(
+            replication_specs(
+                "beta", 2, base_seed=1, rounds=2, world_params=SMALL_WORLD
+            )
         )
         assert all(r.telemetry is None for r in report.results)
         merged = report.telemetry()
         assert merged.events == [] and merged.meta["trials"] == 0
 
     def test_snapshot_crosses_process_boundary(self):
-        report = run_replications(
-            "beta",
-            2,
-            base_seed=2,
-            rounds=2,
-            world_params=SMALL_WORLD,
-            telemetry=True,
+        report = run_trials(
+            replication_specs(
+                "beta",
+                2,
+                base_seed=2,
+                rounds=2,
+                world_params=SMALL_WORLD,
+                telemetry=True,
+            ),
             max_workers=2,
         )
         assert report.mode == PROCESS_POOL
@@ -123,26 +125,30 @@ class TestTelemetryPlumbing:
             assert result.telemetry.metrics  # counters made it back
 
     def test_merged_events_carry_trial_labels(self):
-        report = run_replications(
-            "beta",
-            2,
-            base_seed=3,
-            rounds=2,
-            world_params=SMALL_WORLD,
-            telemetry=True,
+        report = run_trials(
+            replication_specs(
+                "beta",
+                2,
+                base_seed=3,
+                rounds=2,
+                world_params=SMALL_WORLD,
+                telemetry=True,
+            )
         )
         merged = report.telemetry()
         labels = {dict(e.attrs).get("trial") for e in merged.events}
         assert labels == {"beta/rep0", "beta/rep1"}
 
     def test_trace_contains_model_instrumentation(self):
-        report = run_replications(
-            "eigentrust",
-            1,
-            base_seed=4,
-            rounds=3,
-            world_params=SMALL_WORLD,
-            telemetry=True,
+        report = run_trials(
+            replication_specs(
+                "eigentrust",
+                1,
+                base_seed=4,
+                rounds=3,
+                world_params=SMALL_WORLD,
+                telemetry=True,
+            )
         )
         merged = report.telemetry()
         names = set(merged.metrics)

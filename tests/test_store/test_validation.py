@@ -107,7 +107,7 @@ class TestMergeFrom:
         spec = ShardedRunSpec(
             world_params=dict(n_providers=2, services_per_provider=2, n_consumers=6)
         )
-        runtime = ShardRuntime(spec, 0, 1)
+        runtime = ShardRuntime(spec, 0, 1, range(spec.n_consumers))
         delta = runtime.run_epoch(0, [0.5] * len(runtime.service_ids))
         shipped = pickle.loads(pickle.dumps(delta))
         target = EventStore(time_dtype="int64")
