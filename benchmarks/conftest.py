@@ -8,11 +8,25 @@ path through pytest-benchmark.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+import json
+from pathlib import Path
+from typing import Iterable, List, Mapping
 
 import pytest
 
 from repro.common.records import Feedback
+
+
+#: the one tracked runtime baseline: sharded worlds and trial sweeps
+RUNTIME_BENCH = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
+
+
+def write_bench_sections(path: Path, sections: Mapping[str, object]) -> None:
+    """Replace *sections* of the tracked JSON baseline at *path*,
+    keeping every other section, so benchmarks can share one file."""
+    data = json.loads(path.read_text()) if path.exists() else {}
+    data.update(sections)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def warm_stream(

@@ -16,8 +16,9 @@ Before any timing it asserts the determinism contract on the real
 workload: every pooled run must reproduce the serial harness outcomes
 *exactly* — final scores, per-round accuracy, regret sequences.
 
-Results are written to ``BENCH_runtime.json`` at the repo root (the
-tracked baseline next to ``BENCH_models.json``).  Speedup gates are
+Results are written to the ``trials`` section of ``BENCH_shard.json``
+at the repo root, the one tracked runtime baseline (sharded worlds
+fill the rest of it).  Speedup gates are
 core-aware: a 4-worker pool can only be required to beat 2x where four
 hardware threads exist, so the file records ``cpu_count`` alongside
 every measurement and the assertion tier degrades with the host.
@@ -25,10 +26,8 @@ every measurement and the assertion tier degrades with the host.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 from typing import Callable, Dict, List
 
 from repro.core.registry import default_registry
@@ -43,7 +42,9 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.workloads import make_world
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_runtime.json"
+from benchmarks.conftest import RUNTIME_BENCH, write_bench_sections
+
+BENCH_PATH = RUNTIME_BENCH
 
 MODEL = "beta"
 TRIALS = 8
@@ -180,9 +181,7 @@ def test_parallel_runtime_regression(table_printer):
         },
         "pool": {str(w): row for w, row in pool_rows.items()},
     }
-    BENCH_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_bench_sections(BENCH_PATH, {"trials": payload})
 
     rows = [
         ["serial harness", serial_ns // TRIALS, "x1.00"],
@@ -215,7 +214,7 @@ def test_parallel_runtime_regression(table_printer):
     # Speedup tiers only bind where the hardware can deliver them:
     # >= 2x when the host has >= 4 cores for a 4-worker pool, >= 1.2x
     # for a 2-worker pool on >= 2 cores.  Measurements are recorded in
-    # BENCH_runtime.json either way.
+    # BENCH_shard.json either way.
     for workers, row in pool_rows.items():
         if cores >= workers >= 4:
             assert row["speedup_vs_serial"] >= 2.0, (

@@ -26,10 +26,8 @@ silent-shard discipline the obs ledger uses.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 from typing import Callable, Dict, List
 
 from repro.experiments.sharded import (
@@ -39,7 +37,9 @@ from repro.experiments.sharded import (
     run_sharded_experiment,
 )
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
+from benchmarks.conftest import RUNTIME_BENCH, write_bench_sections
+
+BENCH_PATH = RUNTIME_BENCH
 
 MODEL = "beta"
 SEED = 2026
@@ -156,9 +156,7 @@ def test_shard_runtime_regression(table_printer):
         },
         "sharded": {str(s): row for s, row in shard_rows.items()},
     }
-    BENCH_PATH.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_bench_sections(BENCH_PATH, payload)
 
     rows = [
         ["1 shard (serial)", serial_ns // total_rows, "x1.00", "-", "-"]

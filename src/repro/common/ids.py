@@ -8,6 +8,7 @@ that runs are reproducible and ids sort in creation order.
 
 from __future__ import annotations
 
+import sys
 from collections import defaultdict
 from typing import Dict
 
@@ -34,10 +35,14 @@ class IdFactory:
         self._counters: Dict[str, int] = defaultdict(int)
 
     def next(self, prefix: str) -> EntityId:
-        """Return the next id for *prefix* and advance its counter."""
+        """Return the next id for *prefix* and advance its counter.
+
+        Ids are interned: the worlds of a sweep name their entities
+        alike, so results kept across trials share one string per id.
+        """
         count = self._counters[prefix]
         self._counters[prefix] = count + 1
-        return f"{prefix}-{count:0{self._width}d}"
+        return sys.intern(f"{prefix}-{count:0{self._width}d}")
 
     def count(self, prefix: str) -> int:
         """Number of ids issued so far for *prefix*."""

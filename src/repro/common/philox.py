@@ -100,31 +100,35 @@ def philox4x64(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
 
 
 def keyed_words(
-    root: int, index: _Words, step: int, stream: int, blocks: int
+    root: int, index: _Words, step: _Words, stream: int, blocks: int
 ) -> np.ndarray:
     """Raw uint64 draws ``(n, 4 * blocks)``, one row per agent *index*.
 
     Row *i* holds draw blocks ``0 .. blocks-1`` of agent ``index[i]``
     at (*step*, *stream*) under *root*: a pure function of those five
-    values, whatever else the call computes.
+    values, whatever else the call computes.  A 1-d *step* gives
+    ``(len(step), n, 4 * blocks)``, one plane per step, bit-identical
+    to one call per step.
     """
     agents = np.atleast_1d(np.asarray(index, dtype=_U64))
+    steps = np.asarray(step, dtype=_U64)
     n = len(agents)
     # Block-major lanes: the per-agent key word broadcasts along the
     # contiguous axis, which numpy's inner loops handle fastest.
-    key = np.empty((1, n, 2), dtype=_U64)
-    key[0, :, 0] = _U64(root)
-    key[0, :, 1] = agents
-    counter = np.zeros((blocks, 1, 4), dtype=_U64)
-    counter[:, 0, 0] = np.arange(blocks, dtype=_U64)
-    counter[:, 0, 1] = _U64(step)
-    counter[:, 0, 2] = _U64(stream)
-    words = philox4x64(counter, key)  # (blocks, n, 4)
-    return words.transpose(1, 0, 2).reshape(n, 4 * blocks)
+    key = np.empty((1, 1, n, 2), dtype=_U64)
+    key[..., 0] = _U64(root)
+    key[0, 0, :, 1] = agents
+    counter = np.zeros((steps.size, blocks, 1, 4), dtype=_U64)
+    counter[..., 0] = np.arange(blocks, dtype=_U64)[:, None]
+    counter[..., 1] = steps.reshape(-1, 1, 1)
+    counter[..., 2] = _U64(stream)
+    words = philox4x64(counter, key)  # (steps, blocks, n, 4)
+    words = words.transpose(0, 2, 1, 3).reshape(steps.size, n, 4 * blocks)
+    return words if steps.ndim else words[0]
 
 
 def keyed_uniforms(
-    root: int, index: _Words, step: int, stream: int, blocks: int
+    root: int, index: _Words, step: _Words, stream: int, blocks: int
 ) -> np.ndarray:
     """:func:`keyed_words` as doubles in ``[0, 1)`` (53-bit, numpy's
     ``Generator.random`` conversion)."""

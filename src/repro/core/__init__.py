@@ -26,7 +26,6 @@ from repro.core.selection import (
     SelectionPolicy,
     EpsilonGreedyPolicy,
     GreedyPolicy,
-    SoftmaxPolicy,
 )
 from repro.core.registry import (
     ModelInfo,
@@ -38,15 +37,12 @@ from repro.core.scenarios import (
     MediatedSelectionScenario,
     ScenarioResult,
 )
-from repro.core.eventdriven import EventDrivenResult, EventDrivenScenario
 
 __all__ = [
     "Architecture",
     "DecayPolicy",
     "DirectSelectionScenario",
     "EpsilonGreedyPolicy",
-    "EventDrivenResult",
-    "EventDrivenScenario",
     "ExponentialDecay",
     "FacetTrust",
     "GreedyPolicy",
@@ -59,7 +55,6 @@ __all__ = [
     "SelectionEngine",
     "SelectionPolicy",
     "SlidingWindow",
-    "SoftmaxPolicy",
     "Subject",
     "Typology",
     "TypologyTree",

@@ -7,14 +7,13 @@ the asking consumer's perspective when the model is personalized), and
 pick via a :class:`SelectionPolicy`.
 
 Pure reputation-greedy selection starves unexplored services of the
-chance to earn reputation; the exploration policies (ε-greedy, softmax)
-are the standard remedies and are what the benchmarks use.
+chance to earn reputation; ε-greedy exploration is the standard remedy
+and is what the benchmarks use.
 """
 
 from __future__ import annotations
 
 import abc
-import math
 from typing import List, Optional, Sequence
 
 from repro.common.errors import ConfigurationError, ReproError
@@ -69,32 +68,6 @@ class EpsilonGreedyPolicy(SelectionPolicy):
             return tied[0].target
         index = int(self._rng.integers(0, len(tied)))
         return tied[index].target
-
-
-class SoftmaxPolicy(SelectionPolicy):
-    """Boltzmann exploration: P(i) ∝ exp(score_i / temperature)."""
-
-    def __init__(self, temperature: float = 0.1, rng: RngLike = None) -> None:
-        if temperature <= 0:
-            raise ConfigurationError("temperature must be positive")
-        self.temperature = temperature
-        self._rng = make_rng(rng)
-
-    def choose(self, ranking: Sequence[ScoredTarget]) -> EntityId:
-        if not ranking:
-            raise ConfigurationError("empty ranking")
-        peak = max(st.score for st in ranking)
-        weights = [
-            math.exp((st.score - peak) / self.temperature) for st in ranking
-        ]
-        total = sum(weights)
-        draw = float(self._rng.random()) * total
-        cumulative = 0.0
-        for st, weight in zip(ranking, weights):
-            cumulative += weight
-            if draw <= cumulative:
-                return st.target
-        return ranking[-1].target
 
 
 class SelectionEngine:

@@ -2,8 +2,8 @@
 
 The canonical experiment shape behind most figures/claims: build a
 world, run a :class:`~repro.core.scenarios.DirectSelectionScenario` for
-some rounds, and report accuracy/regret plus score quality against
-ground truth.
+some rounds (one vectorized round-kernel pass per round), and report
+accuracy/regret plus score quality against ground truth.
 """
 
 from __future__ import annotations
@@ -60,9 +60,7 @@ def run_selection_experiment(
         attack: optional dishonest-population plan, applied to per-run
             copies of the consumers — the caller's ``world.consumers``
             keep their own strategies, so replications sharing a world
-            never compound an attack.  (RNG state is still consumed by
-            the run; for exact replay build a fresh world per trial, as
-            :mod:`repro.experiments.parallel` does.)
+            never compound an attack.
     """
     consumers = world.consumers
     if attack is not None:

@@ -140,6 +140,9 @@ class AttackSpec:
     sybil_count: int = 0
     whitewash: bool = False
 
+    def __post_init__(self) -> None:
+        self.build()  # an unknown strategy or a bad plan fails here
+
     def build(self) -> AttackPlan:
         try:
             factory = ATTACK_STRATEGIES[self.strategy]
@@ -194,6 +197,10 @@ class TrialSpec:
     rate_providers: bool = False
     label: str = ""
     telemetry: bool = False
+
+    def __post_init__(self) -> None:
+        if self.rounds < 1:
+            raise ConfigurationError(f"rounds must be >= 1: {self.rounds}")
 
 
 @dataclass

@@ -87,14 +87,21 @@ import numpy as np
 from repro.common.errors import ConfigurationError, ReproError
 from repro.common.ids import EntityId
 from repro.common.simtime import times_array, to_ticks
-from repro.core.scenarios import ScenarioResult
+from repro.core.scenarios import FloatLog, ScenarioResult, tally_selections
 from repro.experiments.parallel import (
     DEFAULT_SHARD_WORLD,
     picklable,
     register_world_builder,
     world_builder,
 )
-from repro.experiments.rounds import ConsumerBlock, catalog_at, run_round
+from repro.experiments.rounds import (
+    CatalogState,
+    ConsumerBlock,
+    catalog_at,
+    profiled_metrics,
+    round_uniforms,
+    run_round,
+)
 from repro.experiments.workloads import consumer_draw_key, shard_consumer_id
 from repro.obs.ledger import ActivityLedger, merged_ledger_table
 from repro.obs.metrics import MetricsRegistry
@@ -337,14 +344,7 @@ class ShardRuntime:
         self._services = list(self.world.services)
         self.service_ids = [svc.service_id for svc in self._services]
         self._n_services = len(self._services)
-        self._metrics = self.world.taxonomy.names()
-        for svc in self._services:
-            if set(svc.profile.quality) != set(self._metrics):
-                raise ConfigurationError(
-                    f"service {svc.service_id!r} profiles "
-                    f"{sorted(svc.profile.quality)}, not the world's "
-                    f"metrics {sorted(self._metrics)}"
-                )
+        self._metrics = profiled_metrics(self._services, self.world.taxonomy.names())
         self.block = ConsumerBlock.from_consumers(
             self.consumers, self.owned, self._metrics
         )
@@ -356,6 +356,7 @@ class ShardRuntime:
         ]
         self._key = consumer_draw_key(self.world.seeds)
         self._segments = np.unique(self.block.segments)
+        self._catalog: Optional[CatalogState] = None
         self._targets = np.array(self.service_ids, dtype=object)
         self._service_home = np.array(
             [shard_of(sid, n_shards) for sid in self.service_ids],
@@ -395,27 +396,19 @@ class ShardRuntime:
         regrets = np.empty(n_own * n_rounds, dtype=np.float64)
         accurate = np.zeros(n_rounds, dtype=np.int64)
         home_counts = np.zeros(self.n_shards, dtype=np.int64)
-        # Scores are frozen for the whole epoch, so the exploit arm is
-        # a constant: the harness's (score, id) tie-break, computed once.
-        exploit = 0
-        if self._n_services:
-            exploit = max(
-                range(self._n_services),
-                key=lambda j: (scores[j], self.service_ids[j]),
-            )
         epoch_start = spec.epoch_start(epoch)
         for r_local in range(n_rounds if n_own else 0):
             t = epoch_start + r_local * spec.round_length
-            catalog = catalog_at(
-                self._services, self._metrics, self._segments, t
+            step = epoch * n_rounds + r_local
+            self._catalog = catalog = catalog_at(
+                self._services, self._metrics, self._segments, t, self._catalog
             )
             parts = [
                 run_round(
                     part,
                     catalog,
-                    self._key,
-                    epoch * n_rounds + r_local,
-                    exploit,
+                    round_uniforms(part, self._key, step, len(self._metrics)),
+                    scores,
                     spec.epsilon,
                     spec.optimality_tolerance,
                 )
@@ -490,7 +483,7 @@ class _Coordinator:
         ]
         self.store = EventStore(time_dtype="int64")
         self._accurate = np.zeros(spec.total_rounds, dtype=np.int64)
-        self._regret_chunks: List[np.ndarray] = []
+        self._regrets = FloatLog()
         self._selection_counts: Dict[EntityId, int] = {}
         self._selections = 0
         self._rows_per_shard = [0] * shards
@@ -575,18 +568,9 @@ class _Coordinator:
                 messages=1,
                 size=delta.n_rows,
             )
-        self._regret_chunks.append(regrets[order])
-        # Count selections in first-appearance order of the sorted rows
-        # (the dict order a per-row loop gives); a service sits under one
-        # code per delta, so counts accumulate by name.
-        codes, first, counts = np.unique(
-            target_codes, return_index=True, return_counts=True
-        )
-        for k in np.argsort(first).tolist():
-            target = names[codes[k]]
-            self._selection_counts[target] = (
-                self._selection_counts.get(target, 0) + int(counts[k])
-            )
+        self._regrets.extend(regrets[order])
+        # A service sits under one code per delta: counts add by name.
+        tally_selections(self._selection_counts, names, target_codes)
         self._selections += n_rows
         if self.recorder is not None:
             start = spec.epoch_start(epoch)
@@ -610,21 +594,18 @@ class _Coordinator:
     ) -> ShardedRunReport:
         spec = self.spec
         n_consumers = spec.n_consumers
-        regrets = (
-            np.concatenate(self._regret_chunks)
-            if self._regret_chunks
-            else np.empty(0, dtype=np.float64)
-        )
         optimal = int(self._accurate.sum())
         result = ScenarioResult(
             rounds=spec.total_rounds,
             selections=self._selections,
             optimal_selections=optimal,
-            regrets=regrets.tolist(),
-            round_accuracy=[
-                count / n_consumers if n_consumers else 0.0
-                for count in self._accurate.tolist()
-            ],
+            regrets=self._regrets,
+            round_accuracy=FloatLog(
+                [
+                    count / n_consumers if n_consumers else 0.0
+                    for count in self._accurate.tolist()
+                ]
+            ),
             selection_counts=dict(self._selection_counts),
         )
         final_scores = self.model.score_many(

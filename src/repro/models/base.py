@@ -39,11 +39,15 @@ class ReputationModel(abc.ABC):
         name: registry key (snake_case).
         typology: the system's Figure 4 classification.
         paper_ref: citation bracket from the survey's reference list.
+        reads_facets: whether it reads facet ratings or interactions.
     """
 
     name: str = "abstract"
     typology: Optional["Typology"] = None
     paper_ref: str = ""
+    #: reads more of a feedback than its overall rating (facet ratings,
+    #: the backing interaction), so simulations must file whole records
+    reads_facets: bool = False
 
     @abc.abstractmethod
     def record(self, feedback: Feedback) -> None:

@@ -106,6 +106,7 @@ class DayExpertSystem(ReputationModel):
     """
 
     name = "day"
+    reads_facets = True
     typology = Typology(
         Architecture.CENTRALIZED, Subject.RESOURCE, Scope.PERSONALIZED
     )
@@ -171,6 +172,7 @@ class DayNaiveBayes(ReputationModel):
     """
 
     name = "day_naive_bayes"
+    reads_facets = True
     typology = Typology(
         Architecture.CENTRALIZED, Subject.RESOURCE, Scope.PERSONALIZED
     )

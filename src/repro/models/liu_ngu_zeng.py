@@ -36,6 +36,7 @@ class LiuNguZengModel(ReputationModel):
     """
 
     name = "liu_ngu_zeng"
+    reads_facets = True
     typology = Typology(
         Architecture.CENTRALIZED, Subject.RESOURCE, Scope.PERSONALIZED
     )

@@ -78,6 +78,7 @@ class MaximilienSinghModel(ReputationModel):
     """
 
     name = "maximilien_singh"
+    reads_facets = True
     typology = Typology(
         Architecture.CENTRALIZED, Subject.RESOURCE, Scope.PERSONALIZED
     )

@@ -84,6 +84,7 @@ class PeerTrustModel(ReputationModel):
     """
 
     name = "peertrust"
+    reads_facets = True
     typology = Typology(
         Architecture.DECENTRALIZED, Subject.PERSON_AGENT, Scope.GLOBAL
     )

@@ -43,6 +43,7 @@ class VuAbererModel(ReputationModel):
     """
 
     name = "vu_aberer"
+    reads_facets = True
     typology = Typology(
         Architecture.DECENTRALIZED,
         Subject.PERSON_AGENT_AND_RESOURCE,

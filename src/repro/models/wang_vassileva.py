@@ -85,6 +85,7 @@ class WangVassilevaModel(ReputationModel):
     """
 
     name = "wang_vassileva"
+    reads_facets = True
     typology = Typology(
         Architecture.DECENTRALIZED, Subject.PERSON_AGENT, Scope.PERSONALIZED
     )

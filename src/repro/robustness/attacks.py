@@ -1,11 +1,13 @@
 """Attack strategies: dishonest rating behaviours.
 
-Each factory returns a
+Each strategy is a :class:`RatingTransform`: a masked transform of the
+(rows x facets) filed-rating matrix, which the vectorized round applies
+to all of a strategy's liars at once, and also a
 :class:`~repro.services.consumer.RatingStrategy` — a drop-in for the
 honest strategy on any :class:`~repro.services.consumer.Consumer` — so
-the same simulation code runs honest and adversarial populations.
+scalar and columnar simulations run one implementation of each.
 
-Covered attacks:
+Covered attacks (the ``*_strategy`` names are the constructors):
 
 * **badmouthing** — report victims' quality as terrible,
 * **ballot stuffing** — report allies' quality as perfect,
@@ -20,127 +22,155 @@ mint the extra identities, and experiments re-join them to the system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Sequence
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.ids import EntityId
 from repro.common.randomness import RngLike, make_rng
 from repro.common.records import Interaction
-from repro.services.consumer import Consumer, RatingStrategy
+from repro.services.consumer import Consumer
 
 
-def _all_low(facet_scores: Dict[str, float], level: float) -> Dict[str, float]:
-    if not facet_scores:
-        return {}
-    return {facet: level for facet in facet_scores}
+def _hits(
+    members: Optional[FrozenSet[EntityId]],
+    catalogue: Sequence[EntityId],
+    choice: np.ndarray,
+) -> np.ndarray:
+    """Rows whose rated service is in *members* (every row for None)."""
+    if members is None:
+        return np.ones(len(choice), dtype=bool)
+    return np.array([sid in members for sid in catalogue], dtype=bool)[choice]
 
 
-def _all_high(facet_scores: Dict[str, float], level: float) -> Dict[str, float]:
-    if not facet_scores:
-        return {}
-    return {facet: level for facet in facet_scores}
+class RatingTransform:
+    """A dishonest rating strategy as a masked transform of filed ratings.
+
+    :meth:`apply` rewrites in place a (rows x facets) matrix of honest
+    facet ratings and the ``present`` mask of rows that file a rating
+    at all (a failed invocation files none unless the strategy rates it
+    anyway); row *i* rated ``catalogue[choice[i]]`` and may read the
+    row's strategy *uniforms* (a lie draw, then one per facet).  Called
+    as a scalar strategy it runs on a one-row matrix whose columns are
+    the facets (a single ``"overall"`` column when there are none).
+    """
+
+    def apply(
+        self,
+        filed: np.ndarray,
+        present: np.ndarray,
+        catalogue: Sequence[EntityId],
+        choice: np.ndarray,
+        uniforms: np.ndarray,
+    ) -> None:
+        raise NotImplementedError
+
+    def _scalar_uniforms(self, n_facets: int) -> np.ndarray:
+        return np.zeros((1, 1 + n_facets))
+
+    def __call__(
+        self,
+        consumer: Optional[Consumer],
+        interaction: Interaction,
+        facet_scores: Dict[str, float],
+    ) -> Dict[str, float]:
+        columns = list(facet_scores) or ["overall"]
+        filed = np.array([[facet_scores.get(c, 0.0) for c in columns]])
+        present = np.array([bool(facet_scores)])
+        u = self._scalar_uniforms(len(facet_scores))
+        self.apply(filed, present, [interaction.service], np.zeros(1, dtype=int), u)
+        return dict(zip(columns, filed[0].tolist())) if present[0] else {}
 
 
-def badmouth_strategy(
-    victims: Optional[Iterable[EntityId]] = None,
-    low: float = 0.05,
-) -> RatingStrategy:
+@dataclass(frozen=True)
+class Badmouth(RatingTransform):
     """Report *victims* (every target when None) as terrible."""
-    victim_set: Optional[Set[EntityId]] = (
-        set(victims) if victims is not None else None
-    )
 
-    def strategy(
-        consumer: Consumer,
-        interaction: Interaction,
-        facet_scores: Dict[str, float],
-    ) -> Dict[str, float]:
-        if victim_set is None or interaction.service in victim_set:
-            return _all_low(facet_scores, low)
-        return facet_scores
+    victims: Optional[FrozenSet[EntityId]] = None
+    low: float = 0.05
 
-    return strategy
+    def __post_init__(self) -> None:
+        if self.victims is not None:
+            object.__setattr__(self, "victims", frozenset(self.victims))
+
+    def apply(self, filed, present, catalogue, choice, uniforms) -> None:
+        filed[_hits(self.victims, catalogue, choice) & present] = self.low
 
 
-def ballot_stuffing_strategy(
-    allies: Iterable[EntityId],
-    high: float = 0.95,
-) -> RatingStrategy:
-    """Report *allies* as excellent regardless of experience."""
-    ally_set = set(allies)
-    if not ally_set:
-        raise ConfigurationError("ballot stuffing needs at least one ally")
+@dataclass(frozen=True)
+class BallotStuffing(RatingTransform):
+    """Report *allies* as excellent, even when the invocation failed."""
 
-    def strategy(
-        consumer: Consumer,
-        interaction: Interaction,
-        facet_scores: Dict[str, float],
-    ) -> Dict[str, float]:
-        if interaction.service in ally_set:
-            # Even failed invocations of allies are praised.
-            if not facet_scores:
-                return {"overall": high}
-            return _all_high(facet_scores, high)
-        return facet_scores
+    allies: FrozenSet[EntityId]
+    high: float = 0.95
 
-    return strategy
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "allies", frozenset(self.allies))
+        if not self.allies:
+            raise ConfigurationError(f"{type(self).__name__} needs an ally")
+
+    def apply(self, filed, present, catalogue, choice, uniforms) -> None:
+        ally = _hits(self.allies, catalogue, choice)
+        filed[ally] = self.high
+        present |= ally
 
 
-def collusion_strategy(
-    allies: Iterable[EntityId],
-    high: float = 0.95,
-    low: float = 0.05,
-) -> RatingStrategy:
+@dataclass(frozen=True)
+class Collusion(BallotStuffing):
     """The full ring: stuff allies, badmouth every competitor."""
-    ally_set = set(allies)
-    if not ally_set:
-        raise ConfigurationError("collusion needs at least one ally")
 
-    def strategy(
-        consumer: Consumer,
-        interaction: Interaction,
-        facet_scores: Dict[str, float],
-    ) -> Dict[str, float]:
-        if interaction.service in ally_set:
-            if not facet_scores:
-                return {"overall": high}
-            return _all_high(facet_scores, high)
-        return _all_low(facet_scores, low)
+    low: float = 0.05
 
-    return strategy
+    def apply(self, filed, present, catalogue, choice, uniforms) -> None:
+        filed[~_hits(self.allies, catalogue, choice) & present] = self.low
+        super().apply(filed, present, catalogue, choice, uniforms)
 
 
-def complementary_liar_strategy() -> RatingStrategy:
+@dataclass(frozen=True)
+class ComplementaryLiar(RatingTransform):
     """Always report the complement of the honest experience."""
 
-    def strategy(
-        consumer: Consumer,
-        interaction: Interaction,
-        facet_scores: Dict[str, float],
-    ) -> Dict[str, float]:
-        return {facet: 1.0 - s for facet, s in facet_scores.items()}
-
-    return strategy
+    def apply(self, filed, present, catalogue, choice, uniforms) -> None:
+        filed[present] = 1.0 - filed[present]
 
 
-def random_liar_strategy(
-    lie_probability: float = 0.5, rng: RngLike = None
-) -> RatingStrategy:
-    """Replace each report with uniform noise with some probability."""
-    if not 0.0 <= lie_probability <= 1.0:
-        raise ConfigurationError("lie_probability must be in [0, 1]")
-    gen = make_rng(rng)
+@dataclass(frozen=True)
+class RandomLiar(RatingTransform):
+    """Replace a report with uniform noise with some probability.
 
-    def strategy(
-        consumer: Consumer,
-        interaction: Interaction,
-        facet_scores: Dict[str, float],
-    ) -> Dict[str, float]:
-        if gen.random() >= lie_probability:
-            return facet_scores
-        return {facet: float(gen.random()) for facet in facet_scores}
+    Uniform 0 of a row decides (``u < lie_probability`` lies) and
+    uniforms ``1 ..`` are the facet values.  As a scalar strategy the
+    uniforms come from :attr:`rng`: one per report, plus one per facet
+    when it lies.
+    """
 
-    return strategy
+    lie_probability: float = 0.5
+    rng: RngLike = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.lie_probability <= 1.0:
+            raise ConfigurationError("lie_probability must be in [0, 1]")
+        object.__setattr__(self, "rng", make_rng(self.rng))
+
+    def _scalar_uniforms(self, n_facets: int) -> np.ndarray:
+        gen = make_rng(self.rng)  # the generator __post_init__ made
+        u = super()._scalar_uniforms(n_facets)
+        u[0, 0] = gen.random()
+        if u[0, 0] < self.lie_probability:
+            u[0, 1:] = gen.random(n_facets)
+        return u
+
+    def apply(self, filed, present, catalogue, choice, uniforms) -> None:
+        lie = (uniforms[:, 0] < self.lie_probability) & present
+        filed[lie] = uniforms[lie, 1 : 1 + filed.shape[1]]
+
+
+badmouth_strategy = Badmouth
+ballot_stuffing_strategy = BallotStuffing
+collusion_strategy = Collusion
+complementary_liar_strategy = ComplementaryLiar
+random_liar_strategy = RandomLiar
 
 
 @dataclass

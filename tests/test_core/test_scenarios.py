@@ -1,10 +1,15 @@
 """Tests for the Figure 1 scenario runners."""
 
+import pickle
+import random
+
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.core.scenarios import (
     DirectSelectionScenario,
+    FloatLog,
     MediatedSelectionScenario,
 )
 from repro.core.selection import EpsilonGreedyPolicy
@@ -97,6 +102,32 @@ class TestDirectSelectionScenario:
         # Providers accumulated reputation alongside their services.
         provider_ids = {p.provider_id for p in world.providers}
         assert any(model.evidence(pid) != (0.0, 0.0) for pid in provider_ids)
+
+
+class TestFloatLog:
+    def test_reads_like_the_list_it_was_fed(self, global_random_seed):
+        rng = random.Random(global_random_seed)
+        pool = [0.0, 0.5, 0.25, 1e-9, 0.125] + [rng.random() for _ in range(3)]
+        log, dense = FloatLog(), []
+        for _ in range(40):
+            values = [rng.choice(pool) for _ in range(rng.randint(0, 7))]
+            if values and rng.random() < 0.3:
+                log.append(values[0])
+                dense.append(values[0])
+            else:
+                log.extend(np.array(values))
+                dense.extend(values)
+            assert len(log) == len(dense)
+        assert list(log) == dense
+        assert log == dense and log == FloatLog(dense)
+        assert np.asarray(log).tolist() == dense
+        assert log[3:9] == dense[3:9] and log[-1] == dense[-1]
+        assert pickle.loads(pickle.dumps(log)) == log
+        assert log != dense + [1.0]
+
+    def test_codes_widen_past_256_distinct_values(self):
+        values = np.arange(300) / 7.0
+        assert list(FloatLog(values)) == values.tolist()
 
 
 class TestMediatedSelectionScenario:

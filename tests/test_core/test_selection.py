@@ -7,7 +7,6 @@ from repro.core.selection import (
     EpsilonGreedyPolicy,
     GreedyPolicy,
     SelectionEngine,
-    SoftmaxPolicy,
 )
 from repro.models.base import ScoredTarget
 from repro.models.beta import BetaReputation
@@ -52,22 +51,6 @@ class TestEpsilonGreedyPolicy:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             EpsilonGreedyPolicy(epsilon=1.5)
-
-
-class TestSoftmaxPolicy:
-    def test_low_temperature_concentrates(self):
-        policy = SoftmaxPolicy(temperature=0.01, rng=0)
-        picks = [policy.choose(RANKING) for _ in range(50)]
-        assert picks.count("best") > 45
-
-    def test_high_temperature_spreads(self):
-        policy = SoftmaxPolicy(temperature=100.0, rng=0)
-        picks = {policy.choose(RANKING) for _ in range(100)}
-        assert picks == {"best", "mid", "worst"}
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SoftmaxPolicy(temperature=0.0)
 
 
 class TestSelectionEngine:

@@ -111,6 +111,23 @@ class TestTaskProtocol:
         with pytest.raises(UnknownEntityError):
             AttackSpec("not-an-attack").build()
 
+    def test_trial_spec_rejects_zero_rounds(self):
+        with pytest.raises(ConfigurationError, match="rounds"):
+            TrialSpec(model="beta", seed=1, rounds=0)
+
+    def test_attack_spec_rejects_unknown_strategy(self):
+        with pytest.raises(UnknownEntityError, match="nope"):
+            AttackSpec("nope")
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, 7.0])
+    def test_attack_spec_rejects_liar_fraction_outside_unit(self, fraction):
+        with pytest.raises(ConfigurationError, match="liar_fraction"):
+            AttackSpec("badmouth", liar_fraction=fraction)
+
+    def test_attack_spec_rejects_negative_sybil_count(self):
+        with pytest.raises(ConfigurationError, match="sybil_count"):
+            AttackSpec("badmouth", sybil_count=-1)
+
     def test_world_builder_registration(self):
         def tiny(seed=0, **kwargs):
             return make_world(seed=seed, **{**SMALL_WORLD, **kwargs})

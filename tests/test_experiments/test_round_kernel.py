@@ -11,6 +11,10 @@ Three contracts the sharded runner's ``1 == N`` shards rests on:
 * a row is bit-identical whatever block it runs in (sizes 1, 7, 97,
   all; shuffled), which guards against ulp drift between the SIMD body
   and tail of ``np.log`` / ``np.cos``.
+
+The trial harness's use of the same kernel (personalized scores,
+rating strategies, provider rows) is checked against a per-row oracle
+in ``test_harness_oracle.py``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from repro.experiments.rounds import (
     ConsumerBlock,
     catalog_at,
     draw_blocks,
+    round_uniforms,
     run_round,
 )
 from repro.experiments.sharded import (
@@ -208,8 +213,15 @@ def kernel_round(built, key, round_index, time, exploit, epsilon, tolerance,
             built.consumers, range(len(built.consumers)), metrics
         )
     catalog = catalog_at(built.services, metrics, block.segments, time)
+    scores = np.zeros(len(built.services))
+    scores[exploit] = 1.0  # a unique top score: no tie to break
     return run_round(
-        block, catalog, key, round_index, exploit, epsilon, tolerance
+        block,
+        catalog,
+        round_uniforms(block, key, round_index, len(metrics)),
+        scores,
+        epsilon,
+        tolerance,
     )
 
 
@@ -283,36 +295,54 @@ class TestBlockInvariance:
 
 
 # ---------------------------------------------------------------------------
-# Honest consumers only
+# Honest consumers and the known strategies only
 # ---------------------------------------------------------------------------
 
 
-def badmouthing_shard_world(seed, consumer_indices=None, **params):
+def _improvised_strategy(consumer, interaction, facet_scores):
+    return facet_scores
+
+
+def improvised_shard_world(seed, consumer_indices=None, **params):
     built = make_shard_world(
         seed=seed, consumer_indices=consumer_indices, **params
     )
     for consumer in built.consumers[:1]:
-        consumer.rating_strategy = badmouth_strategy({"svc-0001"})
+        consumer.rating_strategy = _improvised_strategy
     return built
 
 
 register_shard_world_builder(
-    "test-badmouthing-shard-world", badmouthing_shard_world, overwrite=True
+    "test-improvised-strategy-shard-world", improvised_shard_world, overwrite=True
 )
 
 
 class TestHonestOnly:
+    """Honest consumers and the columnar attack strategies run;
+    a consumer rating with any other callable is rejected."""
+
     def test_non_honest_consumer_rejected_at_runtime_build(self):
         spec = ShardedRunSpec(
-            world="test-badmouthing-shard-world",
+            world="test-improvised-strategy-shard-world",
             world_params=dict(n_providers=2, n_consumers=5),
         )
-        with pytest.raises(ConfigurationError, match="honest_rating_strategy"):
+        with pytest.raises(ConfigurationError, match="_improvised_strategy"):
             ShardRuntime(spec, 0, 1, range(spec.n_consumers))
 
     def test_block_rejects_non_honest_consumer(self):
-        built = badmouthing_shard_world(seed=1, n_consumers=3)
+        built = improvised_shard_world(seed=1, n_consumers=3)
         with pytest.raises(ConfigurationError):
             ConsumerBlock.from_consumers(
                 built.consumers, range(3), built.taxonomy.names()
             )
+
+    def test_block_carries_a_liar_mask(self):
+        built = make_shard_world(seed=1, n_consumers=4)
+        built.consumers[1].rating_strategy = badmouth_strategy({"svc-0001"})
+        built.consumers[3].rating_strategy = badmouth_strategy({"svc-0001"})
+        block = ConsumerBlock.from_consumers(
+            built.consumers, range(4), built.taxonomy.names()
+        )
+        assert block.liars.tolist() == [False, True, False, True]
+        assert len(block.strategies) == 1  # equal strategies share a group
+        assert block.take([3, 0]).liars.tolist() == [True, False]

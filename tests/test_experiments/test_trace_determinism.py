@@ -152,5 +152,9 @@ class TestTelemetryPlumbing:
         )
         merged = report.telemetry()
         names = set(merged.metrics)
-        assert "model.rank.batch_size" in names
+        # The harness scores once per round (no per-row rank), so its
+        # own round counter stands beside the model's instrumentation.
+        assert "scenario.rows" in names
         assert "model.power_iterations" in names
+        rounds = [e for e in merged.events if e.name == "scenario.round"]
+        assert [dict(e.attrs)["round"] for e in rounds] == [0, 1, 2]

@@ -227,9 +227,13 @@ class TestAttackDefensePipeline:
         collected = []
 
         class Recorder(BetaReputation):
-            def record(self, feedback):
-                collected.append(feedback)
-                super().record(feedback)
+            # The scenario files each round's rows as columns.
+            def record_columns(self, raters, targets, ratings, times):
+                collected.extend(
+                    Feedback(rater=r, target=t, time=float(tm), rating=float(v))
+                    for r, t, v, tm in zip(raters, targets, ratings, times)
+                )
+                super().record_columns(raters, targets, ratings, times)
 
         scenario = DirectSelectionScenario(
             services=world2.services, consumers=world2.consumers,
